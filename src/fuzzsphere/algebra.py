@@ -17,8 +17,6 @@ __all__ = [
     "ExactRadical",
     "factorial",
     "binomial",
-    "radical_mul",
-    "radical_from_fraction",
 ]
 
 
@@ -191,13 +189,3 @@ def radical(coeff: Fraction | int, radicand: Fraction | int) -> ExactRadical:
 
 
 RADICAL_ZERO = ExactRadical(Fraction(0), Fraction(1))
-RADICAL_ONE = ExactRadical(Fraction(1), Fraction(1))
-
-
-def radical_mul(a: ExactRadical, b: ExactRadical) -> ExactRadical:
-    """Exact normalized product of two radicals."""
-    return a * b
-
-
-def radical_from_fraction(q: Fraction | int) -> ExactRadical:
-    return radical(q, 1)

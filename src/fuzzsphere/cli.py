@@ -2,14 +2,14 @@
 
 Reports are line-oriented key=value on stdout for scripting; human-oriented
 summaries go to stderr.  Identical invocations produce byte-identical
-output files.  The environment variable FUZZSPHERE_SEEDLESS is reserved and
-currently ignored.
+output files.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -84,8 +84,16 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # matrix files
 
+_CSV_HEADER = "row,col,re,im"
+_CSV_META = re.compile(r"#\s*two_j=(\d+)\s+two_sigma=(-?\d+)")
+
+
 def save_matrix(m: OperatorMatrix, path: Path, fmt: str, two_sigma: int = 0) -> None:
-    """Write a matrix with 17-significant-digit fields, fixed layout."""
+    """Write a matrix with 17-significant-digit fields, fixed layout.
+
+    Both formats carry two_j and two_sigma; csv puts them on a leading
+    ``# two_j=.. two_sigma=..`` line above the ``row,col,re,im`` table.
+    """
     dim = m.two_j + 1
     if fmt == "json":
         rows = []
@@ -100,7 +108,7 @@ def save_matrix(m: OperatorMatrix, path: Path, fmt: str, two_sigma: int = 0) -> 
         )
         path.write_text(text + "\n")
     elif fmt == "csv":
-        lines = ["row,col,re,im"]
+        lines = [f"# two_j={m.two_j} two_sigma={two_sigma}", _CSV_HEADER]
         for r in range(dim):
             for c in range(dim):
                 z = m.entries[r, c]
@@ -111,25 +119,58 @@ def save_matrix(m: OperatorMatrix, path: Path, fmt: str, two_sigma: int = 0) -> 
 
 
 def load_matrix(path: Path) -> tuple[OperatorMatrix, int]:
-    """Read a matrix file (json or csv by content); returns (matrix, two_sigma)."""
-    import json as _json
+    """Read a matrix file (json or csv by content); returns (matrix, two_sigma).
+
+    Malformed files raise ValueError: a shape that disagrees with two_j, or
+    a csv cell that is missing, repeated or out of range.
+    """
+    import json
 
     text = path.read_text()
     if text.lstrip().startswith("{"):
-        data = _json.loads(text)
-        dim = data["rows"]
-        flat = data["entries"]
-        arr = np.array([complex(re, im) for re, im in flat]).reshape(dim, dim)
-        return OperatorMatrix(data["two_j"], arr), int(data.get("two_sigma", 0))
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if lines[0].strip() != "row,col,re,im":
-        raise ValueError(f"unrecognized matrix file {path}")
-    cells = [ln.split(",") for ln in lines[1:]]
-    dim = max(int(c[0]) for c in cells) + 1
-    arr = np.zeros((dim, dim), dtype=complex)
-    for r, c, re, im in cells:
-        arr[int(r), int(c)] = complex(float(re), float(im))
-    return OperatorMatrix(dim - 1, arr), 0
+        data = json.loads(text)
+        try:
+            two_j, two_sigma = int(data["two_j"]), int(data["two_sigma"])
+            dim, flat = int(data["rows"]), data["entries"]
+            values = [complex(x, y) for x, y in flat]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed matrix file {path}: {exc!r}") from None
+        if dim != two_j + 1:
+            raise ValueError(f"{path}: rows={dim} but two_j={two_j} needs {two_j + 1}")
+        if len(values) != dim * dim:
+            raise ValueError(f"{path}: {len(values)} entries, expected {dim * dim}")
+        return OperatorMatrix(two_j, np.array(values).reshape(dim, dim)), two_sigma
+
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    meta = _CSV_META.fullmatch(lines[0]) if lines else None
+    if meta is None or len(lines) < 2 or lines[1] != _CSV_HEADER:
+        raise ValueError(
+            f"unrecognized matrix file {path}: expected a "
+            f"'# two_j=.. two_sigma=..' line and the header {_CSV_HEADER!r}"
+        )
+    two_j, two_sigma = int(meta.group(1)), int(meta.group(2))
+    dim = two_j + 1
+    arr = np.empty((dim, dim), dtype=complex)
+    seen: set[tuple[int, int]] = set()
+    for line in lines[2:]:
+        try:
+            r_s, c_s, re_s, im_s = line.split(",")
+            cell = (int(r_s), int(c_s))
+            value = complex(float(re_s), float(im_s))
+        except ValueError:
+            raise ValueError(f"{path}: malformed cell {line!r}") from None
+        if not (0 <= cell[0] < dim and 0 <= cell[1] < dim):
+            raise ValueError(f"{path}: cell {cell} out of range for two_j={two_j}")
+        if cell in seen:
+            raise ValueError(f"{path}: duplicate cell {cell}")
+        seen.add(cell)
+        arr[cell] = value
+    if len(seen) != dim * dim:
+        missing = next(
+            (r, c) for r in range(dim) for c in range(dim) if (r, c) not in seen
+        )
+        raise ValueError(f"{path}: {dim * dim - len(seen)} cells missing, first {missing}")
+    return OperatorMatrix(two_j, arr), two_sigma
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +454,7 @@ def _check_threej(_: int):
 def _check_ssh(two_j_max: int):
     import numpy as _np
 
-    from .quad import integrate_sphere
+    from .quad import weighted_gram
     from .ssh import ssh_eval_binomial
 
     rng = _np.random.default_rng(2024)
@@ -431,15 +472,12 @@ def _check_ssh(two_j_max: int):
                     worst_forms,
                     abs(ssh_eval(p, tmu, x) - ssh_eval_binomial(p, tmu, x)),
                 )
-        grid = SphereGrid.auto(tj, 0, p.phi_period)
-        for tmu in p.projections():
-            for tnu in p.projections():
-                val = 4 * math.pi * integrate_sphere(
-                    lambda x: ssh_eval(p, tmu, x).conjugate() * ssh_eval(p, tnu, x),
-                    grid,
-                )
-                expect = 1.0 if tmu == tnu else 0.0
-                worst_orth = max(worst_orth, abs(val - expect))
+        # Full (non-separable) samples at every node: this cross-checks the
+        # phi factorization that quantize_quadrature relies on.
+        points, weights = SphereGrid.auto(tj, 0, p.phi_period).nodes_and_weights()
+        basis = [[ssh_eval(p, tmu, x) for tmu in p.projections()] for x in points]
+        gram = 4 * math.pi * weighted_gram(_np.array(basis), _np.array(weights))
+        worst_orth = max(worst_orth, float(_np.abs(gram - _np.eye(p.dim)).max()))
     return [
         ("ssh_sum_rule", worst_sum, 1e-11),
         ("ssh_two_closed_forms", worst_forms, 1e-12),
@@ -536,8 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fuzzsphere",
         description="Coherent-state and fuzzy quantizations of the 2-sphere, "
         "with exact angular-momentum machinery.",
-        epilog="All spins are passed as twice-values (--two-j 3 means j = 3/2). "
-        "FUZZSPHERE_SEEDLESS is reserved and ignored.",
+        epilog="All spins are passed as twice-values (--two-j 3 means j = 3/2).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -608,7 +645,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import factorial, parity_sign
-from .quad import PlaneGrid, SphereGrid, SpherePoint, integrate_plane, integrate_sphere
+from .quad import PlaneGrid, SphereGrid, SpherePoint, integrate_plane, weighted_gram
 from .ssh import OperatorMatrix, SshParams, lambda_matrices, ssh_eval
 
 __all__ = [
@@ -118,11 +118,19 @@ def quantize_quadrature(
     on every node the result is symmetrized and flagged Hermitian (the raw
     asymmetry is quadrature noise); pass hermitize=False to inspect the raw
     matrix.
+
+    f is sampled once per node of the (cached) grid.  The harmonics are
+    sampled separably: on the product grid Y_mu(theta_k, phi_i) =
+    Y_mu(theta_k, 0) exp(i mu phi_i), so ssh_eval runs once per ring and
+    projection.  Every entry is then one exact float sum of its weighted
+    terms (:func:`fuzzsphere.quad.weighted_gram`), bit-reproducible and
+    independent of BLAS.  No 3j-symbol enters, which keeps this route an
+    independent check of the closed form.
     """
     if grid is None:
         grid = _default_grid(params)
-    points, _ = grid.nodes_and_weights()
-    fvals: dict[tuple[float, float], complex] = {}
+    points, weights = grid.nodes_and_weights()
+    fvals = np.empty(len(points), dtype=complex)
     f_is_real = True
     for idx, x in enumerate(points):
         v = complex(f(x))
@@ -131,27 +139,22 @@ def quantize_quadrature(
                 f"non-finite sample {v} at node {idx} "
                 f"(theta={x.theta!r}, phi={x.phi!r})"
             )
-        fvals[(x.theta, x.phi)] = v
+        fvals[idx] = v
         if abs(v.imag) > 1e-14 * max(1.0, abs(v.real)):
             f_is_real = False
-    basis: dict[tuple[float, float], np.ndarray] = {
-        key: np.array(
-            [ssh_eval(params, tmu, SpherePoint(*key)) for tmu in params.projections()]
-        )
-        for key in fvals
-    }
 
-    dim = params.dim
-    entries = np.empty((dim, dim), dtype=complex)
-    for r in range(dim):
-        for c in range(dim):
-            val = integrate_sphere(
-                lambda x: basis[(x.theta, x.phi)][r].conjugate()
-                * fvals[(x.theta, x.phi)]
-                * basis[(x.theta, x.phi)][c],
-                grid,
-            )
-            entries[r, c] = MEASURE_MASS * val
+    # Nodes run ring by ring: n_phi consecutive nodes share one theta.
+    n_phi = grid.n_phi
+    rings = np.array([
+        [ssh_eval(params, tmu, SpherePoint(x.theta, 0.0)) for tmu in params.projections()]
+        for x in points[::n_phi]
+    ])
+    phis = np.array([x.phi for x in points[:n_phi]])
+    mus = np.array(params.projections()) / 2.0
+    phases = np.exp(1j * np.outer(phis, mus))
+    basis = (rings[:, None, :] * phases[None, :, :]).reshape(len(points), params.dim)
+
+    entries = MEASURE_MASS * weighted_gram(basis, np.array(weights) * fvals)
     out = OperatorMatrix(params.two_j, entries)
     if hermitize and f_is_real:
         return out.hermitized()

@@ -5,10 +5,18 @@ rule in phi, so band-limited integrands are integrated exactly once the node
 counts clear the polynomial degree and the Nyquist order.  Node ordering is
 fixed and sums are accumulated with exact float summation, so results are
 bit-reproducible for a given grid.
+
+Sphere grids are frozen values: their nodes and weights are built once per
+distinct grid and cached as immutable tuples.  The nodes form rings of
+constant theta, n_phi consecutive nodes per ring, which is what lets a
+caller sample phi-separable integrands ring by ring.  :func:`weighted_gram`
+reduces a sampled basis to its weighted Gram matrix with one exact sum per
+entry, the kernel of quadrature quantization.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -21,6 +29,7 @@ __all__ = [
     "PlaneGrid",
     "integrate_sphere",
     "integrate_plane",
+    "weighted_gram",
 ]
 
 TWO_PI = 2 * math.pi
@@ -75,8 +84,14 @@ class SphereGrid:
             two_j + ell_max + 4, 2 * two_j + 2 * ell_max + 4, phi_period
         )
 
-    def nodes_and_weights(self) -> tuple[list[SpherePoint], list[float]]:
-        """Deterministic node ordering: ascending cos(theta), then phi."""
+    @functools.lru_cache(maxsize=64)
+    def nodes_and_weights(self) -> tuple[tuple[SpherePoint, ...], tuple[float, ...]]:
+        """Deterministic node ordering: ascending cos(theta), then phi.
+
+        Memoized per grid (the grid is its own cache key), so the
+        Gauss-Legendre rule is built once per distinct grid; the tuples are
+        shared between callers and cannot be modified.
+        """
         u, wu = np.polynomial.legendre.leggauss(self.n_theta)
         points: list[SpherePoint] = []
         weights: list[float] = []
@@ -86,7 +101,7 @@ class SphereGrid:
                 phi = self.phi_period * i / self.n_phi
                 points.append(SpherePoint(theta, phi))
                 weights.append(wk / 2.0 / self.n_phi)
-        return points, weights
+        return tuple(points), tuple(weights)
 
 
 def integrate_sphere(
@@ -104,6 +119,27 @@ def integrate_sphere(
             )
         terms.append(w * v)
     return _complex_fsum(terms)
+
+
+def weighted_gram(basis: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Matrix G[r, c] = sum_n weights[n] conj(basis[n, r]) basis[n, c].
+
+    ``basis`` holds one row of samples per node and ``weights`` one
+    (possibly complex) weight per node.  Each entry is reduced with exact
+    float summation over its real and imaginary parts, so the result is
+    correctly rounded from the term array and does not depend on BLAS.
+    """
+    basis = np.asarray(basis, dtype=complex)
+    weighted = np.asarray(weights, dtype=complex)[:, None] * basis.conj()
+    dim = basis.shape[1]
+    out = np.empty((dim, dim), dtype=complex)
+    for r in range(dim):
+        terms = (weighted[:, r, None] * basis).T
+        out[r] = [
+            complex(math.fsum(re), math.fsum(im))
+            for re, im in zip(terms.real.tolist(), terms.imag.tolist())
+        ]
+    return out
 
 
 @dataclass(frozen=True)

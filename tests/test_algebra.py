@@ -11,7 +11,6 @@ from fuzzsphere.algebra import (
     factorial,
     parity_sign,
     radical,
-    radical_mul,
 )
 
 
@@ -68,9 +67,9 @@ def test_parity_sign_negative_exponents_stay_int():
 
 def test_radical_mul_examples():
     r2 = radical(1, 2)
-    assert radical_mul(r2, r2) == radical(2, 1)
-    assert radical_mul(radical(Fraction(1, 3), 3), radical(1, 3)) == radical(1, 1)
-    sq = radical_mul(radical(Fraction(-1, 3), 3), radical(Fraction(-1, 3), 3))
+    assert r2 * r2 == radical(2, 1)
+    assert radical(Fraction(1, 3), 3) * radical(1, 3) == radical(1, 1)
+    sq = radical(Fraction(-1, 3), 3) * radical(Fraction(-1, 3), 3)
     assert sq == radical(Fraction(1, 3), 1)
     # float cross-check of the squared value
     assert abs(sq.to_float() - radical(Fraction(-1, 3), 3).to_float() ** 2) < 1e-15
@@ -84,7 +83,7 @@ def test_radical_square_float_consistency():
     ]
     for x in cases:
         lhs = x.to_float() ** 2
-        rhs = radical_mul(x, x).to_float()
+        rhs = (x * x).to_float()
         assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(lhs))
 
 

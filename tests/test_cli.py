@@ -150,9 +150,19 @@ def test_export_round_trip_bit_exact(tmp_path, capsys):
     back = tmp_path / "back.json"
     code, _, _ = run(capsys, "export", "-i", str(as_csv), "-o", str(back), "--format", "json")
     assert code == 0
-    m1, _ = load_matrix(src)
-    m2, _ = load_matrix(back)
+    m1, s1 = load_matrix(src)
+    m2, s2 = load_matrix(back)
     assert np.array_equal(m1.entries, m2.entries)
+    assert s1 == s2 == 1
+    assert load_matrix(as_csv)[1] == 1
+
+
+def test_csv_round_trip_keeps_two_sigma(tmp_path):
+    path = tmp_path / "m.csv"
+    save_matrix(OperatorMatrix.identity(4), path, "csv", two_sigma=2)
+    matrix, two_sigma = load_matrix(path)
+    assert two_sigma == 2 and matrix.two_j == 4
+    assert np.array_equal(matrix.entries, np.eye(5))
 
 
 def test_csv_shape(tmp_path):
@@ -160,8 +170,74 @@ def test_csv_shape(tmp_path):
     path = tmp_path / "m.csv"
     save_matrix(OperatorMatrix(2, arr), path, "csv")
     lines = [ln for ln in path.read_text().splitlines() if ln]
-    assert lines[0] == "row,col,re,im"
-    assert len(lines) - 1 == 9
+    assert lines[0] == "# two_j=2 two_sigma=0"
+    assert lines[1] == "row,col,re,im"
+    assert len(lines) - 2 == 9
+
+
+def _csv_lines(tmp_path):
+    path = tmp_path / "m.csv"
+    save_matrix(OperatorMatrix.identity(1), path, "csv", two_sigma=1)
+    return path, path.read_text().splitlines()
+
+
+def _assert_rejected(capsys, tmp_path, path, match):
+    with pytest.raises(ValueError, match=match):
+        load_matrix(path)
+    code, _, err = run(
+        capsys, "export", "-i", str(path), "-o", str(tmp_path / "out.json")
+    )
+    assert code == 2
+    assert err.startswith("error:") and match in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_csv_missing_cell_rejected(tmp_path, capsys):
+    path, lines = _csv_lines(tmp_path)
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    _assert_rejected(capsys, tmp_path, path, "missing")
+
+
+def test_csv_duplicate_cell_rejected(tmp_path, capsys):
+    path, lines = _csv_lines(tmp_path)
+    path.write_text("\n".join(lines[:-1] + [lines[2]]) + "\n")
+    _assert_rejected(capsys, tmp_path, path, "duplicate")
+
+
+def test_csv_out_of_range_cell_rejected(tmp_path, capsys):
+    path, lines = _csv_lines(tmp_path)
+    path.write_text("\n".join(lines + ["2,0,1,0"]) + "\n")
+    _assert_rejected(capsys, tmp_path, path, "out of range")
+
+
+def test_json_entry_count_rejected(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    save_matrix(OperatorMatrix.identity(2), path, "json")
+    data = json.loads(path.read_text())
+    data["entries"] = data["entries"][:-1]
+    path.write_text(json.dumps(data))
+    _assert_rejected(capsys, tmp_path, path, "entries")
+
+
+def test_json_rows_two_j_mismatch_rejected(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    save_matrix(OperatorMatrix.identity(2), path, "json")
+    data = json.loads(path.read_text())
+    data["two_j"] = 3
+    path.write_text(json.dumps(data))
+    _assert_rejected(capsys, tmp_path, path, "rows=3")
+
+
+def test_arithmetic_error_exits_2(monkeypatch, capsys):
+    import fuzzsphere.cli as cli
+
+    def drifted(args):
+        raise ArithmeticError("sum-rule drift")
+
+    monkeypatch.setattr(cli, "_cmd_wigner3j", drifted)
+    code, _, err = run(capsys, "wigner3j", "--two", "0", "0", "0", "0", "0", "0")
+    assert code == 2
+    assert err.strip() == "error: sum-rule drift"
 
 
 def test_identity_json_shape(tmp_path):

@@ -163,6 +163,63 @@ def test_hermiticity_for_real_and_conjugation_for_complex():
     assert a_fbar.max_abs_diff(a_f.dagger()) < 1e-13
 
 
+def brute_force_quadrature(params, f, grid):
+    """Reference frame integral: every harmonic sampled at every node by the
+    full evaluator (no phi separability), one exact sum per entry."""
+    points, weights = grid.nodes_and_weights()
+    samples = [[ssh_eval(params, tmu, x) for tmu in params.projections()] for x in points]
+    fvals = [complex(f(x)) for x in points]
+    out = np.empty((params.dim, params.dim), dtype=complex)
+    for r in range(params.dim):
+        for c in range(params.dim):
+            terms = [
+                w * y[r].conjugate() * v * y[c]
+                for w, v, y in zip(weights, fvals, samples)
+            ]
+            out[r, c] = FOUR_PI * complex(
+                math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
+            )
+    return out
+
+
+def test_separable_quadrature_matches_brute_force_double_cover():
+    p = SshParams(7, 3, psi=0.7)
+    grid = SphereGrid.auto(7, 7, p.phi_period)
+    # matrix entries see only integer phi frequencies (mu - nu is an integer)
+    f = lambda x: math.cos(x.theta) + math.sin(x.theta) * (
+        0.3 * math.cos(x.phi) + 0.2 * math.sin(x.phi) + 0.1 * math.sin(2 * x.phi)
+    )
+    fast = quantize_quadrature(p, f, grid, hermitize=False)
+    assert np.abs(fast.entries - brute_force_quadrature(p, f, grid)).max() <= 1e-13
+
+
+def test_separable_quadrature_matches_brute_force_complex_f():
+    p = SshParams(8, -2, psi=1.1)
+    f = HarmonicExpansion({(2, 1): 1.0, (3, -2): 0.5 - 0.25j, (4, 0): 0.2}).evaluate
+    fast = quantize_quadrature(p, f)
+    assert not fast.hermitian
+    grid = SphereGrid.auto(8, 8, p.phi_period)
+    assert np.abs(fast.entries - brute_force_quadrature(p, f, grid)).max() <= 1e-13
+
+
+def test_quadrature_bitwise_reproducible():
+    p = SshParams(5, 1, psi=0.3)
+    f = lambda x: cmath.exp(0.5j * x.phi) * math.sin(x.theta) + math.cos(x.theta) ** 2
+    first = quantize_quadrature(p, f, hermitize=False)
+    SphereGrid.nodes_and_weights.cache_clear()
+    second = quantize_quadrature(p, f, hermitize=False)
+    assert np.array_equal(first.entries, second.entries)
+
+
+def test_quadrature_non_finite_sample_names_node():
+    p = SshParams(2, 2)
+    grid = SphereGrid(4, 5)
+    bad = grid.nodes_and_weights()[0][7]
+    f = lambda x: float("nan") if x == bad else 1.0
+    with pytest.raises(ValueError, match=rf"node 7 \(theta={bad.theta!r}, phi={bad.phi!r}\)"):
+        quantize_quadrature(p, f, grid)
+
+
 def test_closed_form_matches_quadrature():
     for tj, ts in spin_pairs(5):
         p = SshParams(tj, ts)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from fuzzsphere.quad import (
@@ -10,6 +11,7 @@ from fuzzsphere.quad import (
     SpherePoint,
     integrate_plane,
     integrate_sphere,
+    weighted_gram,
 )
 from fuzzsphere.ssh import SshParams, ssh_eval
 
@@ -103,6 +105,45 @@ def test_sphere_determinism():
     a = grid.nodes_and_weights()
     b = SphereGrid(7, 11).nodes_and_weights()
     assert a == b
+
+
+def test_grid_built_once_per_distinct_grid(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    SphereGrid.nodes_and_weights.cache_clear()
+    first = SphereGrid(5, 7, FOUR_PI).nodes_and_weights()
+    for _ in range(3):
+        assert SphereGrid(5, 7, FOUR_PI).nodes_and_weights() is first
+    assert calls == [5]
+    SphereGrid(5, 7).nodes_and_weights()
+    assert calls == [5, 5]
+
+
+def test_nodes_and_weights_immutable():
+    points, weights = SphereGrid(3, 4).nodes_and_weights()
+    assert isinstance(points, tuple) and isinstance(weights, tuple)
+    with pytest.raises(TypeError):
+        points[0] = SpherePoint(0.0, 0.0)
+    with pytest.raises(TypeError):
+        weights[0] = 1.0
+    with pytest.raises(AttributeError):
+        weights.append(1.0)
+
+
+def test_weighted_gram_matches_naive_sum():
+    rng = np.random.default_rng(3)
+    basis = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
+    weights = rng.normal(size=9) + 1j * rng.normal(size=9)
+    gram = weighted_gram(basis, weights)
+    naive = np.einsum("n,nr,nc->rc", weights, basis.conj(), basis)
+    assert np.abs(gram - naive).max() < 1e-13
+    assert np.array_equal(gram, weighted_gram(basis, weights))
 
 
 def test_invalid_grid_rejected():

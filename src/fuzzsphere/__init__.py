@@ -28,6 +28,7 @@ from .fuzzy import (
     classical_limit_report,
     hat_map,
     hat_ylm,
+    sym_monomial,
     sym_product,
     symmetrization_commutator_check,
     ylm_as_polynomial,

@@ -537,6 +537,9 @@ def run_checks(
     names = SUITES.get(suite)
     if names is None:
         raise ValueError(f"unknown suite {suite!r}; choices: {sorted(SUITES)}")
+    # Below 1 the spin loops are empty and every residual would read 0.
+    if two_j_max < 1:
+        raise ValueError(f"--two-j-max must be at least 1, got {two_j_max}")
     results = []
     for name in names:
         for check, residual, tol in ALL_CHECKS[name](two_j_max):

@@ -3,12 +3,26 @@
 Coordinates are replaced by kappa-scaled generators, polynomials by
 symmetrized operator monomials truncated at degree 2j, and the resulting
 hatted harmonics are compared against the coherent-state quantized ones
-through the single ell-dependent constant that relates them.
+through the single ell-dependent constant that relates them (Madore,
+Class. Quantum Grav. 9 (1992) 69).
+
+Symmetrized monomials come from the first-factor recurrence
+T(a,b,c) = L1 T(a-1,b,c) + L2 T(a,b-1,c) + L3 T(a,b,c-1), T(0,0,0) = 1,
+with Sym(L1^a L2^b L3^c) = a! b! c! / n! T(a,b,c) for n = a+b+c.  It is run
+in that normalized form, n Sym(a,b,c) = a L1 Sym(a-1,b,c) + b L2 Sym(a,b-1,c)
++ c L3 Sym(a,b,c-1), so entries stay of order j^n.  Every monomial up to
+degree n costs O(n^3) matrix products.  The generators depend on 2j alone,
+so one table per 2j, extended to the highest degree requested so far and
+kept for a few spins, serves every sigma and harmonic.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +38,7 @@ __all__ = [
     "FuzzyParams",
     "HatResult",
     "sym_product",
+    "sym_monomial",
     "hat_map",
     "ylm_as_polynomial",
     "hat_ylm",
@@ -81,31 +96,33 @@ class HatResult:
     truncated: tuple[Monomial3, ...]
 
 
-def _multiset_sequences(counts: list[int]):
-    """Distinct sequences over range(len(counts)) with the given multiplicities."""
-    total = sum(counts)
-    seq: list[int] = []
+def _sym_step(
+    factors: Sequence[np.ndarray], counts: tuple[int, ...], lower: dict
+) -> np.ndarray:
+    """One step of the first-factor recurrence.
 
-    def rec():
-        if len(seq) == total:
-            yield tuple(seq)
-            return
-        for i in range(len(counts)):
-            if counts[i] > 0:
-                counts[i] -= 1
-                seq.append(i)
-                yield from rec()
-                seq.pop()
-                counts[i] += 1
-
-    yield from rec()
+    Splitting the orderings of a multiset by their first factor gives
+    n Sym(counts) = sum_i counts_i F_i Sym(counts - e_i), where n is the
+    total count; ``lower`` holds Sym of every vector with one factor fewer.
+    """
+    n = sum(counts)
+    acc = None
+    for i, c in enumerate(counts):
+        if c == 0:
+            continue
+        prev = counts[:i] + (c - 1,) + counts[i + 1 :]
+        term = (c / n) * (factors[i] @ lower[prev])
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def sym_product(operators: list[OperatorMatrix]) -> OperatorMatrix:
     """Symmetrized product: the average over all orderings of the factors.
 
-    Equal factors are grouped, so only the distinct sequences of the
-    multiset are multiplied out, each weighted by its multiplicity.
+    Factors with equal entries are grouped into one count vector, and the
+    first-factor recurrence runs over every vector below it, so k distinct
+    factors with counts c_i cost prod(c_i + 1) steps instead of n!
+    orderings.  The result is a fresh array; nothing is memoized.
     """
     if not operators:
         raise ValueError("empty operator list")
@@ -113,35 +130,76 @@ def sym_product(operators: list[OperatorMatrix]) -> OperatorMatrix:
     for op in operators[1:]:
         if op.two_j != two_j:
             raise ValueError("operators act on different spaces")
-    unique: list[OperatorMatrix] = []
+    factors: list[np.ndarray] = []
     counts: list[int] = []
     for op in operators:
-        for i, u in enumerate(unique):
-            if u is op:
+        for i, f in enumerate(factors):
+            if np.array_equal(f, op.entries):
                 counts[i] += 1
                 break
         else:
-            unique.append(op)
+            factors.append(op.entries)
             counts.append(1)
-    weight = 1.0
-    for c in counts:
-        weight *= factorial(c)
-    weight /= factorial(len(operators))
-    dim = two_j + 1
-    acc = np.zeros((dim, dim), dtype=complex)
-    for seq in _multiset_sequences(counts):
-        prod = np.eye(dim, dtype=complex)
-        for i in seq:
-            prod = prod @ unique[i].entries
-        acc += prod
-    return OperatorMatrix(two_j, weight * acc)
+    sym = {(0,) * len(counts): np.eye(two_j + 1, dtype=complex)}
+    # Lexicographic order reaches every vector after those one factor below it.
+    for key in itertools.product(*(range(c + 1) for c in counts)):
+        if key not in sym:
+            sym[key] = _sym_step(factors, key, sym)
+    return OperatorMatrix(two_j, sym[tuple(counts)])
+
+
+class _GeneratorTable:
+    """Sym(L1^a L2^b L3^c) on one spin-j space for every exponent triple up
+    to the highest degree requested so far, extended one degree at a time.
+
+    Entries are read-only because OperatorMatrix does not copy its array;
+    the lock makes extension safe for concurrent callers.
+    """
+
+    def __init__(self, two_j: int):
+        params = SshParams(two_j, two_j % 2)
+        self.lams = tuple(lam.entries for lam in lambda_matrices(params))
+        eye = np.eye(two_j + 1, dtype=complex)
+        eye.setflags(write=False)
+        self.sym: dict[tuple[int, int, int], np.ndarray] = {(0, 0, 0): eye}
+        self.degree = 0
+        self.lock = threading.Lock()
+
+    def get(self, exponents: tuple[int, int, int]) -> np.ndarray:
+        with self.lock:
+            while self.degree < sum(exponents):
+                d = self.degree + 1
+                for a in range(d, -1, -1):
+                    for b in range(d - a, -1, -1):
+                        key = (a, b, d - a - b)
+                        arr = _sym_step(self.lams, key, self.sym)
+                        arr.setflags(write=False)
+                        self.sym[key] = arr
+                self.degree = d
+            return self.sym[exponents]
+
+
+# The generators depend on 2j alone, so one table serves every sigma and
+# harmonic; it holds C(n+3, 3) matrices up to degree n (about 12 MB at
+# 2j = n = 20), hence only a few spins are kept.
+@functools.lru_cache(maxsize=4)
+def _generator_table(two_j: int) -> _GeneratorTable:
+    return _GeneratorTable(two_j)
+
+
+def sym_monomial(two_j: int, exponents: tuple[int, int, int]) -> OperatorMatrix:
+    """Sym(L1^a L2^b L3^c) on the spin-j space, read from the memoized
+    per-2j table; the entries are a shared read-only array."""
+    exponents = tuple(exponents)
+    if len(exponents) != 3 or min(exponents) < 0:
+        raise ValueError(f"exponents must be three non-negative ints, got {exponents}")
+    return OperatorMatrix(two_j, _generator_table(two_j).get(exponents))
 
 
 def hat_map(params: FuzzyParams, poly: list[Monomial3]) -> HatResult:
     """Polynomial observable to operator: coordinates become kappa-scaled
     generators inside symmetrized monomials; degree > 2j terms are dropped
     into the truncation log."""
-    l1, l2, l3 = lambda_matrices(params.ssh_params())
     kappa = params.kappa
     total = OperatorMatrix.zeros(params.two_j)
     dropped: list[Monomial3] = []
@@ -149,11 +207,7 @@ def hat_map(params: FuzzyParams, poly: list[Monomial3]) -> HatResult:
         if mono.degree > params.two_j:
             dropped.append(mono)
             continue
-        if mono.degree == 0:
-            term = OperatorMatrix.identity(params.two_j)
-        else:
-            factors = [l1] * mono.alpha + [l2] * mono.beta + [l3] * mono.gamma
-            term = sym_product(factors)
+        term = sym_monomial(params.two_j, (mono.alpha, mono.beta, mono.gamma))
         total = total + term.scaled(mono.coefficient * kappa**mono.degree)
     return HatResult(total, tuple(dropped))
 
@@ -292,15 +346,7 @@ def symmetrization_commutator_check(
     commute-then-symmetrize for one generator monomial."""
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1, 2, or 3, got {axis}")
-    params = SshParams(two_j_rep, two_j_rep % 2)
-    lams = lambda_matrices(params)
-
-    def sym_of(expo: tuple[int, int, int]) -> OperatorMatrix:
-        factors = [lams[0]] * expo[0] + [lams[1]] * expo[1] + [lams[2]] * expo[2]
-        if not factors:
-            return OperatorMatrix.identity(two_j_rep)
-        return sym_product(factors)
-
+    lams = lambda_matrices(SshParams(two_j_rep, two_j_rep % 2))
     # Commuting one factor through swaps it to the third axis with a factor
     # of +-i; symmetrizing the expansion groups into two shifted monomials.
     dim = two_j_rep + 1
@@ -314,12 +360,8 @@ def symmetrization_commutator_check(
         shifted = list(exponents)
         shifted[b - 1] -= 1
         shifted[c - 1] += 1
-        lhs += (
-            exponents[b - 1]
-            * (1j * sgn)
-            * sym_of((shifted[0], shifted[1], shifted[2])).entries
-        )
-    rhs = lams[axis - 1].commutator(sym_of(exponents)).entries
+        lhs += exponents[b - 1] * (1j * sgn) * sym_monomial(two_j_rep, shifted).entries
+    rhs = lams[axis - 1].commutator(sym_monomial(two_j_rep, exponents)).entries
     return float(np.linalg.norm(lhs - rhs))
 
 

@@ -90,22 +90,35 @@ def test_criterion_03_closed_form_vs_quadrature_oracle():
     report(3, "closed_form_vs_quadrature", worst, 1e-10)
 
 
-def test_criterion_04_fuzzy_correspondence():
+def _fuzzy_worst(cases):
+    """Worst m-spread of the quantized/hatted ratio, and worst distance of a
+    ratio from the closed-form constant, over (FuzzyParams, ell) cases."""
     worst_spread = 0.0
     worst_closed = 0.0
-    for tj, ts in spin_pairs(5):
-        if ts == 0 or tj == 0:
-            continue
-        fp = FuzzyParams(tj, ts)
-        for ell in range(0, tj + 1):
-            ratios = empirical_ratios(fp, ell)
-            worst_spread = max(
-                worst_spread, max(abs(r - ratios[0]) for r in ratios)
-            )
-            closed = c_of_ell_closed(fp, ell)
-            worst_closed = max(worst_closed, max(abs(r - closed) for r in ratios))
-    report(4, "fuzzy_ratio_m_spread", worst_spread, 1e-9)
-    report(4, "fuzzy_closed_constant", worst_closed, 1e-8)
+    for fp, ell in cases:
+        ratios = empirical_ratios(fp, ell)
+        worst_spread = max(worst_spread, max(abs(r - ratios[0]) for r in ratios))
+        closed = c_of_ell_closed(fp, ell)
+        worst_closed = max(worst_closed, max(abs(r - closed) for r in ratios))
+    return worst_spread, worst_closed
+
+
+def test_criterion_04_fuzzy_correspondence():
+    spread, closed = _fuzzy_worst(
+        (FuzzyParams(tj, ts), ell)
+        for tj, ts in spin_pairs(8)
+        if ts != 0 and tj != 0
+        for ell in range(0, tj + 1)
+    )
+    report(4, "fuzzy_ratio_m_spread", spread, 1e-9)
+    report(4, "fuzzy_closed_constant", closed, 1e-8)
+
+
+def test_criterion_04_fuzzy_correspondence_large_j():
+    fp = FuzzyParams(16, 2)
+    spread, closed = _fuzzy_worst((fp, ell) for ell in (0, 8, 16))
+    report(4, "fuzzy_ratio_m_spread_2j16", spread, 1e-9)
+    report(4, "fuzzy_closed_constant_2j16", closed, 1e-8)
 
 
 def test_criterion_05_symmetrization_lemma():

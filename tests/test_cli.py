@@ -277,3 +277,11 @@ def test_verify_tolerance_override_can_fail(capsys):
     )
     assert code == 1
     assert "status=fail" in out
+
+
+@pytest.mark.parametrize("two_j_max", ["-1", "0"])
+def test_verify_rejects_two_j_max_below_one(capsys, two_j_max):
+    code, out, err = run(capsys, "verify", "--two-j-max", two_j_max)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--two-j-max" in err

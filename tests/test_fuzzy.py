@@ -1,10 +1,12 @@
 """Fuzzy-sphere construction tests."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from fuzzsphere import fuzzy
 from fuzzsphere.csquant import quantize_ylm_closed, superop_action
 from fuzzsphere.fuzzy import (
     FuzzyParams,
@@ -15,6 +17,7 @@ from fuzzsphere.fuzzy import (
     empirical_ratios,
     hat_map,
     hat_ylm,
+    sym_monomial,
     sym_product,
     symmetrization_commutator_check,
     ylm_as_polynomial,
@@ -46,29 +49,86 @@ def test_sym_product_repeated_factor():
     assert sym_product([l1, l1]).max_abs_diff(l1 @ l1) == 0.0
 
 
-def test_sym_product_multiset_grouping_count():
-    from fuzzsphere.fuzzy import _multiset_sequences
-
-    assert len(list(_multiset_sequences([2, 1]))) == 3
-    assert len(list(_multiset_sequences([2, 2, 1]))) == 30
-
-
-def test_sym_product_full_permutation_oracle():
-    # Average over all orderings, computed the expensive way.
-    import itertools
-
-    l1, l2, l3 = lambda_matrices(SshParams(4, 2))
-    ops = [l1, l1, l2, l3]
-    dim = 5
+def _ordering_average(mats):
+    """Average of the product over every ordering of the factors, computed
+    the expensive way."""
+    dim = mats[0].shape[0]
     acc = np.zeros((dim, dim), dtype=complex)
-    perms = list(itertools.permutations(range(4)))
+    perms = list(itertools.permutations(range(len(mats))))
     for perm in perms:
         prod = np.eye(dim, dtype=complex)
         for i in perm:
-            prod = prod @ ops[i].entries
+            prod = prod @ mats[i]
         acc += prod
-    acc /= len(perms)
-    assert np.abs(sym_product(ops).entries - acc).max() < 1e-13
+    return acc / len(perms)
+
+
+def test_sym_product_full_permutation_oracle():
+    l1, l2, l3 = lambda_matrices(SshParams(4, 2))
+    ops = [l1, l1, l2, l3]
+    want = _ordering_average([op.entries for op in ops])
+    assert np.abs(sym_product(ops).entries - want).max() < 1e-13
+
+
+def test_sym_product_generic_matrices_permutation_oracle():
+    # Non-generator Hermitian factors; the repeated one comes as two equal
+    # but distinct objects, which are grouped by value.
+    dim = 4
+
+    def hermitian():
+        a = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
+        return OperatorMatrix(dim - 1, a + a.conj().T)
+
+    a, b, c = hermitian(), hermitian(), hermitian()
+    a_copy = OperatorMatrix(dim - 1, a.entries.copy())
+    ops = [a, b, a_copy, c, b]
+    want = _ordering_average([op.entries for op in ops])
+    got = sym_product(ops).entries
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("tj", [2, 5])
+def test_sym_monomial_permutation_oracle(tj):
+    lams = [lam.entries for lam in lambda_matrices(SshParams(tj, tj % 2))]
+    assert np.array_equal(sym_monomial(tj, (0, 0, 0)).entries, np.eye(tj + 1))
+    for a, b, c in itertools.product(range(7), repeat=3):
+        if not 0 < a + b + c <= 6:
+            continue
+        want = _ordering_average([lams[0]] * a + [lams[1]] * b + [lams[2]] * c)
+        got = sym_monomial(tj, (a, b, c)).entries
+        # Relative to j^n, the norm bound of every ordering's product: some
+        # symmetrized monomials vanish, e.g. Sym(L1 L2 L3^3) at spin 1.
+        assert np.abs(got - want).max() <= 1e-13 * (tj / 2) ** (a + b + c), (a, b, c)
+
+
+def test_sym_monomial_entries_read_only():
+    for expo in ((0, 0, 0), (1, 2, 0)):
+        m = sym_monomial(4, expo)
+        with pytest.raises(ValueError):
+            m.entries[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        sym_monomial(4, (1, -1, 0))
+
+
+def test_mutating_sym_product_result_leaves_hat_ylm_unchanged():
+    fp = FuzzyParams(4, 2)
+    before = hat_ylm(fp, 2, 1).matrix.entries.copy()
+    l1, l2, _ = lambda_matrices(fp.ssh_params())
+    for ops in ([l1], [l1, l1], [l1, l2]):
+        sym_product(ops).entries[:] = 99.0
+    hat_ylm(fp, 2, 1).matrix.entries[:] = 7.0
+    assert np.array_equal(hat_ylm(fp, 2, 1).matrix.entries, before)
+
+
+def test_memo_clear_is_bitwise_neutral():
+    # Built one degree at a time (ell 3, then 6), then rebuilt at once.
+    fp = FuzzyParams(6, 2)
+    keys = [(ell, m) for ell in (3, 6) for m in range(-ell, ell + 1)]
+    fuzzy._generator_table.cache_clear()
+    first = {k: hat_ylm(fp, *k).matrix.entries.copy() for k in keys}
+    fuzzy._generator_table.cache_clear()
+    again = {k: hat_ylm(fp, *k).matrix.entries for k in reversed(keys)}
+    assert all(np.array_equal(first[k], again[k]) for k in keys)
 
 
 def test_sym_product_dimension_guard():

@@ -49,6 +49,7 @@ from .wigner import (
     orthogonality_defect,
     su2_from_rotation,
     three_j,
+    three_j_cache_info,
     three_j_twice,
     wigner_D,
 )

@@ -3,12 +3,16 @@
 Spins and projections are stored as twice-values (the integer 2j), so
 half-integer bookkeeping is exact.  Radical numbers sign * (p/q) * sqrt(r/s)
 with arbitrary-precision parts are the value class of the exact angular
-coupling coefficients.
+coupling coefficients.  Square roots of factorial ratios are split into
+square and square-free parts from a memoized table of the prime exponents
+of n!, so no large integer is ever factored by trial division.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,6 +20,7 @@ __all__ = [
     "HalfInt",
     "ExactRadical",
     "factorial",
+    "factorial_radical",
     "binomial",
 ]
 
@@ -114,13 +119,14 @@ def _square_free_split(n: int) -> tuple[int, int]:
     return s, f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactRadical:
     """Number of the form coeff * sqrt(radicand), both exact rationals.
 
     Always normalized: square factors of the radicand are folded into the
     coefficient, zero is (0, 1), and the radicand is a positive integer
-    (denominators are rationalized away).  Use :func:`radical` to build one.
+    (denominators are rationalized away).  Use :func:`radical` or
+    :func:`factorial_radical` to build one.
     """
 
     coeff: Fraction
@@ -150,7 +156,9 @@ class ExactRadical:
         return sq if self.coeff >= 0 else -sq
 
     def to_float(self) -> float:
-        return float(self.coeff) * math.sqrt(float(self.radicand))
+        # n / d is float(Fraction(n, d)), without the generic __float__.
+        c, r = self.coeff, self.radicand
+        return c.numerator / c.denominator * math.sqrt(r.numerator / r.denominator)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -189,3 +197,67 @@ def radical(coeff: Fraction | int, radicand: Fraction | int) -> ExactRadical:
 
 
 RADICAL_ZERO = ExactRadical(Fraction(0), Fraction(1))
+
+
+# Entry n holds the exponents of the primes 2, 3, 5, ... <= n in n!, in the
+# order of _PRIMES.  Both lists only grow, under the lock; a prime is
+# appended before the first entry that uses it, so readers need no lock.
+_PRIMES: list[int] = []
+_FACTORIAL_EXPONENTS: list[tuple[int, ...]] = [(), ()]
+_FACTORIAL_LOCK = threading.Lock()
+
+
+def _factorial_exponents(n: int) -> tuple[int, ...]:
+    """Prime exponents of n!, memoized; entry k extends entry k-1 by the
+    factorization of k over the primes found so far."""
+    table = _FACTORIAL_EXPONENTS
+    if n < len(table):
+        return table[n]
+    with _FACTORIAL_LOCK:
+        while len(table) <= n:
+            k = len(table)
+            exps = list(table[-1])
+            rest = k
+            for i, p in enumerate(_PRIMES):
+                while rest % p == 0:
+                    rest //= p
+                    exps[i] += 1
+                if rest == 1:
+                    break
+            if rest > 1:  # no smaller prime divides k
+                _PRIMES.append(k)
+                exps.append(1)
+            table.append(tuple(exps))
+    return table[n]
+
+
+def factorial_radical(
+    num: int, den: int, top: Sequence[int], bottom: int
+) -> ExactRadical:
+    """Normalized (num/den) * sqrt(prod(n! for n in top) / bottom!).
+
+    The radicand's exponent e of each prime p comes from the factorial
+    table; p^(e//2) joins the coefficient and p^(e%2) stays under the root,
+    which is the same normalization :func:`radical` reaches by trial
+    division.
+    """
+    if num == 0:
+        return RADICAL_ZERO
+    exps = [-e for e in _factorial_exponents(bottom)]
+    for n in top:
+        row = _factorial_exponents(n)
+        if len(row) > len(exps):
+            exps += [0] * (len(row) - len(exps))
+        for i, e in enumerate(row):
+            exps[i] += e
+    square_num, square_den, free = 1, 1, 1
+    for p, e in zip(_PRIMES, exps):
+        if e > 0:
+            square_num *= p ** (e >> 1)
+        elif e < 0:
+            square_den *= p ** ((1 - e) >> 1)
+        if e & 1:
+            free *= p
+    return ExactRadical(
+        Fraction(num * square_num, den * square_den), Fraction(free)
+    )

@@ -33,7 +33,7 @@ from .fuzzy import (
 )
 from .quad import SphereGrid, SpherePoint
 from .ssh import OperatorMatrix, SshParams, lambda_matrices, ssh_eval
-from .wigner import three_j_twice
+from .wigner import three_j_cache_info, three_j_twice
 
 __all__ = ["main", "RunConfig", "save_matrix", "load_matrix", "run_checks", "ALL_CHECKS"]
 
@@ -562,9 +562,11 @@ def _cmd_verify(args) -> int:
             f"status={'pass' if ok else 'fail'}"
         )
         failed += 0 if ok else 1
+    cache = three_j_cache_info()
     print(
         f"{len(results) - failed}/{len(results)} checks passed"
-        + (f", {failed} FAILED" if failed else ""),
+        + (f", {failed} FAILED" if failed else "")
+        + f"; 3j cache {cache.entries} entries, {cache.hits} hits, {cache.misses} misses",
         file=sys.stderr,
     )
     return 1 if failed else 0

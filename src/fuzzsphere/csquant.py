@@ -164,7 +164,9 @@ def quantize_quadrature(
 def quantize_ylm_closed(params: SshParams, ell: int, m: int) -> OperatorMatrix:
     """Quantized spherical harmonic from the exact double-3j closed form.
 
-    Returns the zero matrix when ell exceeds the 2j band limit.
+    Only the entries with nu = mu - m couple, so the loop runs over that
+    band of dim - |m| entries.  Returns the zero matrix when ell exceeds
+    the 2j band limit.
     """
     from .wigner import three_j_twice
 
@@ -177,13 +179,12 @@ def quantize_ylm_closed(params: SshParams, ell: int, m: int) -> OperatorMatrix:
     scale = (tj + 1) * math.sqrt((2 * ell + 1) / FOUR_PI) * spin_factor
     dim = params.dim
     entries = np.zeros((dim, dim), dtype=complex)
-    for r, tmu in enumerate(params.projections()):
-        for c, tnu in enumerate(params.projections()):
-            if -tmu + tnu + 2 * m != 0:
-                continue
-            sign = parity_sign((ts - tmu) // 2)
-            coupling = three_j_twice(tj, tj, 2 * ell, -tmu, tnu, 2 * m).to_float()
-            entries[r, c] = sign * scale * coupling
+    # Row r holds mu = -j + r, so nu = mu - m sits in column r - m.
+    for r in range(max(0, m), min(dim, dim + m)):
+        tmu = 2 * r - tj
+        sign = parity_sign((ts - tmu) // 2)
+        coupling = three_j_twice(tj, tj, 2 * ell, -tmu, tmu - 2 * m, 2 * m).to_float()
+        entries[r, r - m] = sign * scale * coupling
     return OperatorMatrix(tj, entries, hermitian=(m == 0))
 
 

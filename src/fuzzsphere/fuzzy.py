@@ -34,6 +34,7 @@ from .quad import SpherePoint
 from .ssh import OperatorMatrix, SshParams, lambda_matrices
 
 __all__ = [
+    "HAT_MAP_MAX_TWO_J",
     "Monomial3",
     "FuzzyParams",
     "HatResult",
@@ -196,10 +197,27 @@ def sym_monomial(two_j: int, exponents: tuple[int, int, int]) -> OperatorMatrix:
     return OperatorMatrix(two_j, _generator_table(two_j).get(exponents))
 
 
+# Largest 2j at which hatted and quantized harmonics still agree through
+# one constant per ell to within the comparison's 1e-9: the worst m-spread
+# of their ratio over all ell is 8.0e-10 at 2j=28 (2 sigma = 2), but 1.1e-9
+# at 2j=29 (2 sigma = 1), 3.1e-9 at 30 and 3.8e-9 at 31, growing about
+# tenfold per 4 in 2j.  The generator table also takes 114 MB at 2j=32.
+HAT_MAP_MAX_TWO_J = 28
+
+
 def hat_map(params: FuzzyParams, poly: list[Monomial3]) -> HatResult:
     """Polynomial observable to operator: coordinates become kappa-scaled
     generators inside symmetrized monomials; degree > 2j terms are dropped
-    into the truncation log."""
+    into the truncation log.
+
+    The working range is 2j <= HAT_MAP_MAX_TWO_J (28); beyond it the
+    symmetrized monomials lose the accuracy the fuzzy comparison needs, so
+    a larger 2j raises ValueError before any generator table is built.
+    """
+    if params.two_j > HAT_MAP_MAX_TWO_J:
+        raise ValueError(
+            f"hat_map works up to 2j={HAT_MAP_MAX_TWO_J}; got 2j={params.two_j}"
+        )
     kappa = params.kappa
     total = OperatorMatrix.zeros(params.two_j)
     dropped: list[Monomial3] = []

@@ -4,6 +4,15 @@ The 3j value is an exact radical: the alternating sum over the single
 summation index is a rational, and the triangle/projection factorials stay
 under the square root.  Symmetry relations and orthogonality sums therefore
 hold exactly, not just numerically.
+
+Lookups take twice-valued plain ints (:func:`three_j_twice`; the keyed
+:func:`three_j` delegates to it) and map the symbol to a canonical cache key
+by sorting its columns, with the permutation's parity giving the sign.  A
+cache miss sums the Racah series as one integer over a common denominator
+and splits the square root through the prime exponents of the factorials
+(:func:`fuzzsphere.algebra.factorial_radical`), in the manner of Johansson
+and Forssen, SIAM J. Sci. Comput. 38 (2016) A376.  The cache is safe for
+concurrent use and counts its hits and misses (:func:`three_j_cache_info`).
 """
 
 from __future__ import annotations
@@ -12,17 +21,27 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import ExactRadical, HalfInt, RADICAL_ZERO, factorial, parity_sign, radical
+from .algebra import (
+    RADICAL_ZERO,
+    ExactRadical,
+    HalfInt,
+    factorial,
+    factorial_radical,
+    parity_sign,
+)
 
 __all__ = [
     "Su2Element",
     "ThreeJKey",
+    "ThreeJCacheInfo",
     "three_j",
     "three_j_twice",
+    "three_j_cache_info",
+    "three_j_cache_clear",
     "wigner_D",
     "wigner_D_jacobi",
     "wigner_D_matrix",
@@ -108,26 +127,45 @@ class ThreeJKey:
 
 _CACHE: dict[tuple[tuple[int, int], ...], ExactRadical] = {}
 _CACHE_LOCK = threading.Lock()
+# Lookups that found their canonical key cached, and lookups that did not;
+# both are counted under _CACHE_LOCK.
+_COUNTS = {"hits": 0, "misses": 0}
 
-_EVEN_PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-_ODD_PERMS = ((0, 2, 1), (2, 1, 0), (1, 0, 2))
+
+class ThreeJCacheInfo(NamedTuple):
+    """Entries in the 3j cache and the lookups it served or missed."""
+
+    entries: int
+    hits: int
+    misses: int
+
+
+def three_j_cache_info() -> ThreeJCacheInfo:
+    """Size of the 3j cache and its hit and miss counts since the last
+    :func:`three_j_cache_clear`."""
+    with _CACHE_LOCK:
+        return ThreeJCacheInfo(len(_CACHE), _COUNTS["hits"], _COUNTS["misses"])
+
+
+def three_j_cache_clear() -> None:
+    """Empty the 3j cache and reset its counters."""
+    with _CACHE_LOCK:
+        _CACHE.clear()
+        _COUNTS["hits"] = _COUNTS["misses"] = 0
 
 
 def _three_j_raw(cols: tuple[tuple[int, int], ...]) -> ExactRadical:
-    """Direct evaluation of the single-sum formula on twice-valued columns."""
+    """Direct evaluation of the single-sum formula on twice-valued columns.
+
+    The Racah series is summed as one integer over the common denominator
+    s_hi! (c2-s_lo)! (c3-s_lo)! (c4+s_hi)! (c5+s_hi)! (c6-s_lo)!: each term
+    is that denominator over its own, and consecutive terms differ by a
+    ratio of three linear factors.
+    """
     (tj1, tm1), (tj2, tm2), (tj3, tm3) = cols
     a1 = (tj1 + tj2 - tj3) // 2
     a2 = (tj1 - tj2 + tj3) // 2
     a3 = (-tj1 + tj2 + tj3) // 2
-    triangle = Fraction(
-        factorial(a1) * factorial(a2) * factorial(a3),
-        factorial((tj1 + tj2 + tj3) // 2 + 1),
-    )
-    proj = (
-        factorial((tj1 + tm1) // 2) * factorial((tj1 - tm1) // 2)
-        * factorial((tj2 + tm2) // 2) * factorial((tj2 - tm2) // 2)
-        * factorial((tj3 + tm3) // 2) * factorial((tj3 - tm3) // 2)
-    )
     c2 = (tj2 + tm2) // 2
     c3 = (tj1 - tm1) // 2
     c4 = (tj3 - tj2 + tm1) // 2
@@ -135,63 +173,103 @@ def _three_j_raw(cols: tuple[tuple[int, int], ...]) -> ExactRadical:
     c6 = a1
     s_lo = max(0, -c4, -c5)
     s_hi = min(c2, c3, c6)
-    total = Fraction(0)
+    span = s_hi - s_lo
+    term = math.perm(s_hi, span) * math.perm(c4 + s_hi, span) * math.perm(c5 + s_hi, span)
+    total = 0
     for s in range(s_lo, s_hi + 1):
-        den = (
-            factorial(s) * factorial(c2 - s) * factorial(c3 - s)
-            * factorial(c4 + s) * factorial(c5 + s) * factorial(c6 - s)
-        )
-        total += Fraction((-1) ** s, den)
+        total += -term if s % 2 else term
+        term = term * (c2 - s) * (c3 - s) * (c6 - s) // ((s + 1) * (c4 + s + 1) * (c5 + s + 1))
+    common = (
+        factorial(s_hi) * factorial(c2 - s_lo) * factorial(c3 - s_lo)
+        * factorial(c4 + s_hi) * factorial(c5 + s_hi) * factorial(c6 - s_lo)
+    )
     sign = parity_sign((tj1 - tj2 - tm3) // 2)
-    return radical(sign * total, triangle * proj)
+    return factorial_radical(
+        sign * total,
+        common,
+        (
+            a1, a2, a3,
+            (tj1 + tm1) // 2, (tj1 - tm1) // 2,
+            (tj2 + tm2) // 2, (tj2 - tm2) // 2,
+            (tj3 + tm3) // 2, (tj3 - tm3) // 2,
+        ),
+        (tj1 + tj2 + tj3) // 2 + 1,
+    )
 
 
-def three_j(key: ThreeJKey) -> ExactRadical:
-    """Exact 3j-symbol.
+def _sort3(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]):
+    """The three columns in ascending order, and whether the sorting
+    permutation is odd.  With two equal columns it is taken as even, since
+    an extra swap of the equal pair changes nothing."""
+    odd = False
+    if a > b:
+        a, b, odd = b, a, not odd
+    if b > c:
+        b, c, odd = c, b, not odd
+    if a > b:
+        a, b, odd = b, a, not odd
+    if a == b or b == c:
+        odd = False
+    return (a, b, c), odd
 
-    Returns exact zero when the projections do not sum to zero, the
-    triangle inequality fails, the total spin is not an integer, or a
-    projection lies outside its spin's range.  Negative spins are a
-    domain error.  Values are cached under the canonical image of the
-    column symmetries; the cache is safe for concurrent use.
-    """
-    cols = key.columns()
-    tjs = [c[0] for c in cols]
-    tms = [c[1] for c in cols]
-    if any(tj < 0 for tj in tjs):
-        raise ValueError(f"negative spin in {cols}")
-    if sum(tms) != 0:
-        return RADICAL_ZERO
-    if sum(tjs) % 2 != 0:
-        return RADICAL_ZERO
-    if not abs(tjs[0] - tjs[1]) <= tjs[2] <= tjs[0] + tjs[1]:
-        return RADICAL_ZERO
-    if any(abs(tm) > tj for tj, tm in cols):
-        return RADICAL_ZERO
 
-    # Odd column permutations and global m-negation both contribute
-    # (-1)^(j1+j2+j3); pick the lexicographically smallest image.
-    swap_sign = (-1) ** (sum(tjs) // 2)
-    best: tuple[tuple[tuple[int, int], ...], int] | None = None
-    for perms, psign in ((_EVEN_PERMS, 1), (_ODD_PERMS, swap_sign)):
-        for p in perms:
-            for neg, nsign in ((1, 1), (-1, swap_sign)):
-                cand = tuple((cols[i][0], neg * cols[i][1]) for i in p)
-                if best is None or cand < best[0]:
-                    best = (cand, psign * nsign)
-    canonical, sign = best  # type: ignore[misc]
-
-    with _CACHE_LOCK:
-        value = _CACHE.get(canonical)
-    if value is None:
-        value = _three_j_raw(canonical)
-        with _CACHE_LOCK:
-            _CACHE[canonical] = value
-    return value if sign == 1 else -value
+def _canonical(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int):
+    """Cache key of a symbol and whether the symbol is minus the key's."""
+    key, odd = _sort3((tj1, tm1), (tj2, tm2), (tj3, tm3))
+    negated, negated_odd = _sort3((tj1, -tm1), (tj2, -tm2), (tj3, -tm3))
+    if negated < key:
+        key, odd = negated, not negated_odd
+    return key, odd and (tj1 + tj2 + tj3) % 4 == 2
 
 
 def three_j_twice(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> ExactRadical:
-    return three_j(ThreeJKey.from_twice(tj1, tj2, tj3, tm1, tm2, tm3))
+    """Exact 3j-symbol (j1 j2 j3; m1 m2 m3) from twice-valued arguments.
+
+    Returns exact zero when the projections do not sum to zero, the
+    triangle inequality fails, the total spin is not an integer, or a
+    projection lies outside its spin's range.  Negative spins and a
+    projection of the wrong parity for its spin are domain errors.
+
+    Values are cached under the canonical image of the column symmetries,
+    the smaller of the sorted columns and the sorted m-negated columns;
+    odd column permutations and m-negation each contribute (-1)^(j1+j2+j3).
+    When two columns coincide the permutation's parity is ambiguous, but
+    then the symbol has the same sign either way or vanishes.  The cache
+    is safe for concurrent use; see :func:`three_j_cache_info`.
+    """
+    if (tj1 - tm1) % 2 or (tj2 - tm2) % 2 or (tj3 - tm3) % 2:
+        for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
+            if (tj - tm) % 2:
+                raise ValueError(
+                    f"projection {HalfInt(tm)} has wrong parity for spin {HalfInt(tj)}"
+                )
+    if tj1 < 0 or tj2 < 0 or tj3 < 0:
+        raise ValueError(f"negative spin in {((tj1, tm1), (tj2, tm2), (tj3, tm3))}")
+    if (
+        tm1 + tm2 + tm3 != 0
+        or (tj1 + tj2 + tj3) % 2
+        or not abs(tj1 - tj2) <= tj3 <= tj1 + tj2
+        or abs(tm1) > tj1 or abs(tm2) > tj2 or abs(tm3) > tj3
+    ):
+        return RADICAL_ZERO
+
+    key, flip = _canonical(tj1, tj2, tj3, tm1, tm2, tm3)
+    with _CACHE_LOCK:
+        value = _CACHE.get(key)
+        _COUNTS["misses" if value is None else "hits"] += 1
+    if value is None:
+        value = _three_j_raw(key)
+        with _CACHE_LOCK:
+            _CACHE[key] = value
+    return -value if flip else value
+
+
+def three_j(key: ThreeJKey) -> ExactRadical:
+    """Exact 3j-symbol of a keyed argument set; see :func:`three_j_twice`."""
+    return three_j_twice(
+        key.j1.twice, key.j2.twice, key.j3.twice,
+        key.m1.twice, key.m2.twice, key.m3.twice,
+    )
 
 
 def wigner_D(two_j: int, two_m1: int, two_m2: int, xi: Su2Element) -> complex:

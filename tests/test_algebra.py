@@ -1,6 +1,7 @@
 """Exact arithmetic substrate tests."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from fuzzsphere.algebra import (
     HalfInt,
     binomial,
     factorial,
+    factorial_radical,
     parity_sign,
     radical,
 )
@@ -106,6 +108,25 @@ def test_radical_str_format():
     assert str(radical(2, 1)) == "2"
     assert str(radical(0, 1)) == "0"
     assert str(radical(1, 5)) == "√5"
+
+
+def test_factorial_radical_matches_trial_division():
+    rng = random.Random(5)
+    for _ in range(300):
+        top = [rng.randrange(0, 60) for _ in range(rng.randrange(0, 10))]
+        bottom = rng.randrange(0, 70)
+        num = rng.randrange(-10**6, 10**6)
+        den = rng.randrange(1, 10**6)
+        ratio = Fraction(math.prod(math.factorial(n) for n in top), math.factorial(bottom))
+        assert factorial_radical(num, den, top, bottom) == radical(Fraction(num, den), ratio)
+    assert factorial_radical(0, 7, (5, 3), 4) == radical(0, 1)
+
+
+def test_exact_radical_has_no_instance_dict():
+    r = radical(Fraction(1, 3), 3)
+    assert not hasattr(r, "__dict__")
+    with pytest.raises(AttributeError):
+        r.coeff = Fraction(2)
 
 
 def test_halfint_arithmetic_exhaustive():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -254,6 +255,13 @@ def test_fuzzy_compare_cli(capsys):
     assert out.count("ell=") == 3
 
 
+def test_fuzzy_compare_past_hat_map_range_exits_2(capsys):
+    code, out, err = run(capsys, "fuzzy-compare", "--two-j", "29", "--two-sigma", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "2j=28" in err
+
+
 def test_classical_limit_cli(capsys):
     code, out, _ = run(
         capsys, "classical-limit", "--two-j", "2", "4", "--two-sigma-offset", "0"
@@ -268,6 +276,22 @@ def test_verify_fock_suite(capsys):
     assert code == 0
     assert all("status=pass" in ln for ln in out.strip().splitlines())
     assert "checks passed" in err
+
+
+def test_verify_reports_three_j_cache_on_stderr(capsys):
+    from fuzzsphere.wigner import three_j_cache_clear
+
+    three_j_cache_clear()
+    code, out, err = run(capsys, "verify", "--two-j-max", "1")
+    assert code == 0
+    assert "3j" not in out
+    summary = re.fullmatch(
+        r"(\d+)/\1 checks passed; 3j cache (\d+) entries, (\d+) hits, (\d+) misses\n",
+        err,
+    )
+    assert summary, err
+    entries, hits, misses = map(int, summary.groups()[1:])
+    assert entries == misses > 0 and hits > 0
 
 
 def test_verify_tolerance_override_can_fail(capsys):

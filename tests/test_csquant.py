@@ -232,6 +232,42 @@ def test_closed_form_matches_quadrature():
                 assert closed.max_abs_diff(quad) < 1e-10, (tj, ts, ell, m)
 
 
+def _closed_form_full_scan(params, ell, m):
+    """The closed form by a scan of all dim^2 (mu, nu) pairs, skipping the
+    ones that do not couple."""
+    from fuzzsphere.algebra import parity_sign
+    from fuzzsphere.wigner import three_j_twice
+
+    tj, ts = params.two_j, params.two_sigma
+    spin_factor = three_j_twice(tj, tj, 2 * ell, -ts, ts, 0).to_float()
+    scale = (tj + 1) * math.sqrt((2 * ell + 1) / FOUR_PI) * spin_factor
+    entries = np.zeros((params.dim, params.dim), dtype=complex)
+    for r, tmu in enumerate(params.projections()):
+        for c, tnu in enumerate(params.projections()):
+            if -tmu + tnu + 2 * m != 0:
+                continue
+            sign = parity_sign((ts - tmu) // 2)
+            coupling = three_j_twice(tj, tj, 2 * ell, -tmu, tnu, 2 * m).to_float()
+            entries[r, c] = sign * scale * coupling
+    return entries
+
+
+@pytest.mark.parametrize(
+    "tj, two_sigmas",
+    [(5, (-5, -3, -1, 1, 3, 5)), (8, (-8, -2, 0, 4, 8)), (24, (-6, 0, 24))],
+)
+def test_banded_closed_form_matches_full_scan_bitwise(tj, two_sigmas):
+    for ts in two_sigmas:
+        p = SshParams(tj, ts)
+        for ell in range(tj + 1):
+            for m in range(-ell, ell + 1):
+                got = quantize_ylm_closed(p, ell, m)
+                want = _closed_form_full_scan(p, ell, m)
+                # bytes, so that signed zeros must agree too
+                assert got.entries.tobytes() == want.tobytes(), (ts, ell, m)
+                assert got.hermitian == (m == 0)
+
+
 def test_closed_form_spin1_diagonal_formula():
     # ell = 1, m = 0 entries are sigma sqrt(3/4pi) mu / (j(j+1)).
     for tj, ts in ((2, 2), (4, 2), (3, 3), (5, 1)):

@@ -131,6 +131,19 @@ def test_memo_clear_is_bitwise_neutral():
     assert all(np.array_equal(first[k], again[k]) for k in keys)
 
 
+def test_hat_map_refuses_past_working_range_without_building_table():
+    assert fuzzy.HAT_MAP_MAX_TWO_J == 28
+    fuzzy._generator_table.cache_clear()
+    with pytest.raises(ValueError, match="2j=28"):
+        hat_map(FuzzyParams(29, 1), [Monomial3(1, 0, 0, 1.0)])
+    with pytest.raises(ValueError, match="2j=28"):
+        hat_ylm(FuzzyParams(29, 3), 2, 1)
+    assert fuzzy._generator_table.cache_info().misses == 0
+    # 2j = 28 is inside the range; a degree-0 term needs no products.
+    out = hat_map(FuzzyParams(28, 2), [Monomial3(0, 0, 0, 2.0)])
+    assert np.array_equal(out.matrix.entries, 2.0 * np.eye(29))
+
+
 def test_sym_product_dimension_guard():
     a = OperatorMatrix.identity(2)
     b = OperatorMatrix.identity(4)

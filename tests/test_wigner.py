@@ -1,5 +1,6 @@
 """Exact 3j-symbols and SU(2) matrix tests."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,12 +10,14 @@ import pytest
 from fuzzsphere.algebra import HalfInt, radical
 from fuzzsphere.wigner import (
     Su2Element,
+    ThreeJCacheInfo,
     ThreeJKey,
     orthogonality_defect,
     rodrigues_matrix,
     so3_matrix,
     su2_from_rotation,
     three_j,
+    three_j_cache_info,
     three_j_twice,
     wigner_D,
     wigner_D_jacobi,
@@ -177,6 +180,202 @@ def test_three_j_cache_thread_safety():
     baseline = results[0]
     for tag in range(1, 8):
         assert results[tag] == baseline
+
+
+def test_factorial_table_and_cache_thread_safety():
+    # Cold factorial-exponent table and cold cache, filled by racing threads
+    # switching often; a lost table entry or counter update breaks the
+    # values or the hit + miss total.
+    import sys
+    import threading
+
+    from fuzzsphere import algebra as _a
+    from fuzzsphere import wigner as _w
+
+    symbols = [
+        (20, 20, 2 * ell, -tmu, tmu - 2 * m, 2 * m)
+        for ell in (3, 11, 20)
+        for m in range(-ell, ell + 1, 3)
+        for tmu in range(-20, 21, 4)
+        if abs(tmu - 2 * m) <= 20
+    ]
+    _w.three_j_cache_clear()
+    sequential = [three_j_twice(*k) for k in symbols]
+    _w.three_j_cache_clear()
+    with _a._FACTORIAL_LOCK:
+        del _a._FACTORIAL_EXPONENTS[2:]
+        _a._PRIMES.clear()
+    results = {}
+
+    def worker(tag):
+        order = symbols if tag % 2 else symbols[::-1]
+        results[tag] = {k: three_j_twice(*k) for k in order}
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for tag in range(6):
+        assert [results[tag][k] for k in symbols] == sequential
+    info = three_j_cache_info()
+    assert info.hits + info.misses == 6 * len(symbols)
+    assert info.entries == len({_w._canonical(*k)[0] for k in symbols})
+
+
+# ------------------------------------------------------- 3j lookup and cache
+
+def test_three_j_cache_info_counts_hits_and_misses():
+    from fuzzsphere import wigner as _w
+
+    _w.three_j_cache_clear()
+    assert three_j_cache_info() == (0, 0, 0)
+    v = three_j_twice(4, 2, 2, 2, -2, 0)
+    assert three_j_cache_info() == ThreeJCacheInfo(entries=1, hits=0, misses=1)
+    # The same symbol, and one related to it by a column symmetry, both hit.
+    assert three_j_twice(4, 2, 2, 2, -2, 0) == v
+    three_j_twice(2, 4, 2, -2, 2, 0)
+    assert three_j_cache_info() == ThreeJCacheInfo(entries=1, hits=2, misses=1)
+    # Symbols that vanish by a selection rule never reach the cache.
+    three_j_twice(2, 2, 6, 0, 0, 0)
+    assert three_j_cache_info() == ThreeJCacheInfo(entries=1, hits=2, misses=1)
+    _w._CACHE.clear()
+    _w.three_j_cache_clear()
+    assert three_j_cache_info() == (0, 0, 0)
+    three_j_twice(4, 2, 2, 2, -2, 0)
+    assert three_j_cache_info() == (1, 0, 1)
+
+
+def _twelve_image_canonical(cols):
+    """The lexicographically smallest of the 12 images of the columns under
+    permutations and global m-negation, scanned in a fixed order; odd
+    permutations and negation each contribute (-1)^(j1+j2+j3)."""
+    even = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    odd = ((0, 2, 1), (2, 1, 0), (1, 0, 2))
+    swap_sign = (-1) ** (sum(c[0] for c in cols) // 2)
+    best = None
+    for perms, psign in ((even, 1), (odd, swap_sign)):
+        for p in perms:
+            for neg, nsign in ((1, 1), (-1, swap_sign)):
+                cand = tuple((cols[i][0], neg * cols[i][1]) for i in p)
+                if best is None or cand < best[0]:
+                    best = (cand, psign * nsign)
+    return best
+
+
+def _admissible_symbols(two_j_max):
+    """Every symbol with spins up to two_j_max / 2 that no selection rule
+    zeroes."""
+    for tj1, tj2 in itertools.product(range(two_j_max + 1), repeat=2):
+        for tj3 in range(abs(tj1 - tj2), min(two_j_max, tj1 + tj2) + 1, 2):
+            for tm1 in range(-tj1, tj1 + 1, 2):
+                for tm2 in range(-tj2, tj2 + 1, 2):
+                    tm3 = -tm1 - tm2
+                    if abs(tm3) <= tj3:
+                        yield tj1, tj2, tj3, tm1, tm2, tm3
+
+
+def test_canonical_key_matches_twelve_image_minimum():
+    from fuzzsphere.wigner import _canonical
+
+    count = 0
+    for tj1, tj2, tj3, tm1, tm2, tm3 in _admissible_symbols(6):
+        key, flip = _canonical(tj1, tj2, tj3, tm1, tm2, tm3)
+        want_key, want_sign = _twelve_image_canonical(((tj1, tm1), (tj2, tm2), (tj3, tm3)))
+        assert key == want_key
+        assert (-1 if flip else 1) == want_sign, (tj1, tj2, tj3, tm1, tm2, tm3)
+        count += 1
+    assert count == 1384
+
+
+def _sympy_value(sympy, wigner_3j, tj1, tj2, tj3, tm1, tm2, tm3):
+    half = sympy.Rational(1, 2)
+    return wigner_3j(tj1 * half, tj2 * half, tj3 * half, tm1 * half, tm2 * half, tm3 * half)
+
+
+def _assert_matches_sympy(sympy, wigner_3j, args):
+    from sympy.ntheory.factor_ import core
+
+    got = three_j_twice(*args)
+    want = _sympy_value(sympy, wigner_3j, *args)
+    square = want**2
+    assert square.is_Rational, (args, want)
+    signed = Fraction(int(square.p), int(square.q)) * int(sympy.sign(want))
+    assert got.signed_square() == signed, (args, got, want)
+    # normalized: integer square-free radicand, zero as (0, 1)
+    assert got.radicand.denominator == 1
+    assert core(int(got.radicand)) == int(got.radicand)
+    if want == 0:
+        assert got.coeff == 0 and got.radicand == 1
+
+
+@pytest.mark.parametrize("tj", [5, 8])
+def test_three_j_matches_sympy_on_closed_form_symbols(tj):
+    # Every (j j ell; -mu nu m) the closed form can ask for, coupled or not,
+    # one ell past the band included.
+    sympy = pytest.importorskip("sympy")
+    from sympy.physics.wigner import wigner_3j
+
+    for ell in range(tj + 2):
+        for m in range(-ell, ell + 1):
+            for tmu in range(-tj, tj + 1, 2):
+                for tnu in range(-tj, tj + 1, 2):
+                    _assert_matches_sympy(
+                        sympy, wigner_3j, (tj, tj, 2 * ell, -tmu, tnu, 2 * m)
+                    )
+
+
+def _symbol_strategy():
+    from hypothesis import strategies as st
+
+    @st.composite
+    def symbols(draw):
+        tj1 = draw(st.integers(0, 40))
+        tm1 = draw(st.sampled_from(range(-tj1, tj1 + 1, 2)))
+        if draw(st.booleans()):  # two equal columns
+            tj2, tm2 = tj1, tm1
+        else:
+            tj2 = draw(st.integers(0, 40))
+            tm2 = draw(st.sampled_from(range(-tj2, tj2 + 1, 2)))
+        tj3 = draw(st.sampled_from(range(abs(tj1 - tj2), min(40, tj1 + tj2) + 1, 2)))
+        cols = [(tj1, tm1), (tj2, tm2), (tj3, -tm1 - tm2)]
+        cols = draw(st.permutations(cols))
+        return tuple(c[0] for c in cols) + tuple(c[1] for c in cols)
+
+    return symbols()
+
+
+def test_three_j_matches_sympy_on_random_symbols():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    from sympy.physics.wigner import wigner_3j
+
+    seen = {"repeated": 0, "odd_sum": 0}
+
+    @hypothesis.settings(
+        max_examples=300, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(_symbol_strategy())
+    # two equal columns with an odd j1+j2+j3 (vanishes), and a nonzero one
+    @hypothesis.example((5, 5, 8, 3, 3, -6))
+    @hypothesis.example((40, 40, 2, 0, 0, 0))
+    @hypothesis.example((40, 40, 6, 10, -12, 2))
+    def check(args):
+        tjs, tms = args[:3], args[3:]
+        if len(set(zip(tjs, tms))) < 3:
+            seen["repeated"] += 1
+        if sum(tjs) % 4 == 2:
+            seen["odd_sum"] += 1
+        _assert_matches_sympy(sympy, wigner_3j, args)
+
+    check()
+    assert seen["repeated"] >= 10 and seen["odd_sum"] >= 10, seen
 
 
 # ------------------------------------------------------------- D matrices

@@ -34,7 +34,7 @@ from .fuzzy import (
     ylm_as_polynomial,
 )
 from .quad import PlaneGrid, SphereGrid, SpherePoint, integrate_plane, integrate_sphere
-from .specfun import JacobiParams, assoc_legendre, jacobi
+from .specfun import JacobiParams, jacobi
 from .ssh import (
     OperatorMatrix,
     SshParams,

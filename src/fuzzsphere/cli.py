@@ -452,12 +452,11 @@ def _check_threej(_: int):
 
 
 def _check_ssh(two_j_max: int):
-    import numpy as _np
-
     from .quad import weighted_gram
-    from .ssh import ssh_eval_binomial
+    from .ssh import half_power_of_minus_one
+    from .wigner import Su2Element, wigner_D_sum
 
-    rng = _np.random.default_rng(2024)
+    rng = np.random.default_rng(2024)
     worst_sum = 0.0
     worst_forms = 0.0
     worst_orth = 0.0
@@ -467,17 +466,18 @@ def _check_ssh(two_j_max: int):
             x = SpherePoint(rng.uniform(0, math.pi), rng.uniform(0, p.phi_period))
             total = sum(abs(ssh_eval(p, tmu, x)) ** 2 for tmu in p.projections())
             worst_sum = max(worst_sum, abs(total - (tj + 1) / (4 * math.pi)))
+            # The same harmonic from the explicit-sum D entry (psi = 0).
+            xi = Su2Element(x.theta / 2, 0.0, math.pi / 2)
+            norm = half_power_of_minus_one(ts) * math.sqrt((tj + 1) / (4 * math.pi))
             for tmu in p.projections():
-                worst_forms = max(
-                    worst_forms,
-                    abs(ssh_eval(p, tmu, x) - ssh_eval_binomial(p, tmu, x)),
-                )
+                oracle = norm * np.exp(0.5j * tmu * x.phi) * wigner_D_sum(tj, tmu, ts, xi)
+                worst_forms = max(worst_forms, abs(ssh_eval(p, tmu, x) - oracle))
         # Full (non-separable) samples at every node: this cross-checks the
         # phi factorization that quantize_quadrature relies on.
         points, weights = SphereGrid.auto(tj, 0, p.phi_period).nodes_and_weights()
         basis = [[ssh_eval(p, tmu, x) for tmu in p.projections()] for x in points]
-        gram = 4 * math.pi * weighted_gram(_np.array(basis), _np.array(weights))
-        worst_orth = max(worst_orth, float(_np.abs(gram - _np.eye(p.dim)).max()))
+        gram = 4 * math.pi * weighted_gram(np.array(basis), np.array(weights))
+        worst_orth = max(worst_orth, float(np.abs(gram - np.eye(p.dim)).max()))
     return [
         ("ssh_sum_rule", worst_sum, 1e-11),
         ("ssh_two_closed_forms", worst_forms, 1e-12),
@@ -524,6 +524,22 @@ ALL_CHECKS = {
     "classical": _check_classical,
 }
 
+# The residuals each check reports, in order, so that tolerance overrides
+# are validated before anything runs.
+_CHECK_NAMES = {
+    "identity": ("identity_resolution",),
+    "cartesian": ("cartesian_identification", "cartesian_degenerate_zero"),
+    "closed-vs-quadrature": ("closed_vs_quadrature",),
+    "fuzzy": ("fuzzy_ratio_spread", "fuzzy_closed_match"),
+    "appendix-b": ("symmetrized_commutator",),
+    "eigen": ("ladder_eigen_l3", "ladder_eigen_l_squared"),
+    "threej": ("threej_orthogonality_exact", "threej_symmetry_exact"),
+    "ssh": ("ssh_sum_rule", "ssh_two_closed_forms", "ssh_orthonormality"),
+    "fock": ("fock_quadrature_vs_algebraic", "fock_qp_identity_block", "fock_qp_corner",
+             "fock_lowering_exact"),
+    "classical": ("classical_commutator_norm", "classical_monotone_decay"),
+}
+
 SUITES = {
     "default": list(ALL_CHECKS),
     "fock": ["fock"],
@@ -531,17 +547,31 @@ SUITES = {
 }
 
 
-def run_checks(
-    suite: str, two_j_max: int, overrides: dict[str, float] | None = None
-) -> list[tuple[str, float, float, bool]]:
+def _suite_checks(suite: str) -> list[str]:
+    """Names of the residuals a suite reports, in order."""
     names = SUITES.get(suite)
     if names is None:
         raise ValueError(f"unknown suite {suite!r}; choices: {sorted(SUITES)}")
+    return [check for name in names for check in _CHECK_NAMES[name]]
+
+
+def run_checks(
+    suite: str, two_j_max: int, overrides: dict[str, float] | None = None
+) -> list[tuple[str, float, float, bool]]:
+    """Run a suite; ``overrides`` replaces the tolerance of named residuals,
+    and a name the suite does not report raises ValueError."""
+    valid = _suite_checks(suite)
     # Below 1 the spin loops are empty and every residual would read 0.
     if two_j_max < 1:
         raise ValueError(f"--two-j-max must be at least 1, got {two_j_max}")
+    unknown = sorted(set(overrides or ()) - set(valid))
+    if unknown:
+        raise ValueError(
+            f"no check named {', '.join(unknown)} in suite {suite!r}; "
+            f"valid checks: {', '.join(valid)}"
+        )
     results = []
-    for name in names:
+    for name in SUITES[suite]:
         for check, residual, tol in ALL_CHECKS[name](two_j_max):
             if overrides and check in overrides:
                 tol = overrides[check]
@@ -553,6 +583,9 @@ def _cmd_verify(args) -> int:
     overrides = {}
     for spec_item in args.tol or []:
         name, _, value = spec_item.partition("=")
+        if not value:
+            valid = ", ".join(_suite_checks(args.suite))
+            raise ValueError(f"--tol {spec_item!r} is not CHECK=VALUE; valid checks: {valid}")
         overrides[name] = float(value)
     results = run_checks(args.suite, args.two_j_max, overrides)
     failed = 0

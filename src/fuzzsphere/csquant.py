@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import factorial, parity_sign
 from .quad import PlaneGrid, SphereGrid, SpherePoint, integrate_plane, weighted_gram
-from .ssh import OperatorMatrix, SshParams, lambda_matrices, ssh_eval
+from .ssh import OperatorMatrix, SshParams, lambda_matrices, ssh_column, ssh_eval
 
 __all__ = [
     "MEASURE_MASS",
@@ -59,9 +59,7 @@ def normalization_constant(
     """
     value = (params.two_j + 1) / FOUR_PI
     if check_at is not None:
-        total = sum(
-            abs(ssh_eval(params, tmu, check_at)) ** 2 for tmu in params.projections()
-        )
+        total = float(np.sum(np.abs(ssh_column(params, check_at)) ** 2))
         if abs(total - value) > 1e-10:
             raise ArithmeticError(
                 f"sum-rule drift at {check_at}: {total} != {value}"
@@ -87,18 +85,13 @@ class CoherentState:
 def coherent_state(params: SshParams, x: SpherePoint) -> CoherentState:
     """Unit vector with components conj(Y_mu(x)) / sqrt(N(x))."""
     root_n = math.sqrt(normalization_constant(params))
-    amps = np.array(
-        [ssh_eval(params, tmu, x).conjugate() for tmu in params.projections()]
-    ) / root_n
+    amps = ssh_column(params, x).conj() / root_n
     return CoherentState(params, x, amps)
 
 
 def reproducing_kernel(params: SshParams, x: SpherePoint, xp: SpherePoint) -> complex:
     """K(x, x') = sqrt(N N') <x|x'> = sum_mu Y_mu(x) conj(Y_mu(x'))."""
-    total = 0j
-    for tmu in params.projections():
-        total += ssh_eval(params, tmu, x) * ssh_eval(params, tmu, xp).conjugate()
-    return total
+    return complex(np.vdot(ssh_column(params, xp), ssh_column(params, x)))
 
 
 def _default_grid(params: SshParams, ell_max: int | None = None) -> SphereGrid:
@@ -121,9 +114,10 @@ def quantize_quadrature(
 
     f is sampled once per node of the (cached) grid.  The harmonics are
     sampled separably: on the product grid Y_mu(theta_k, phi_i) =
-    Y_mu(theta_k, 0) exp(i mu phi_i), so ssh_eval runs once per ring and
-    projection.  Every entry is then one exact float sum of its weighted
-    terms (:func:`fuzzsphere.quad.weighted_gram`), bit-reproducible and
+    Y_mu(theta_k, 0) exp(i mu phi_i), so each ring takes one D-matrix
+    column (:func:`fuzzsphere.ssh.ssh_column`).  Every entry is then one
+    exact float sum of its weighted terms
+    (:func:`fuzzsphere.quad.weighted_gram`), bit-reproducible and
     independent of BLAS.  No 3j-symbol enters, which keeps this route an
     independent check of the closed form.
     """
@@ -145,10 +139,7 @@ def quantize_quadrature(
 
     # Nodes run ring by ring: n_phi consecutive nodes share one theta.
     n_phi = grid.n_phi
-    rings = np.array([
-        [ssh_eval(params, tmu, SpherePoint(x.theta, 0.0)) for tmu in params.projections()]
-        for x in points[::n_phi]
-    ])
+    rings = np.array([ssh_column(params, SpherePoint(x.theta, 0.0)) for x in points[::n_phi]])
     phis = np.array([x.phi for x in points[:n_phi]])
     mus = np.array(params.projections()) / 2.0
     phases = np.exp(1j * np.outer(phis, mus))

@@ -256,10 +256,17 @@ def ylm_as_polynomial(ell: int, m: int) -> list[Monomial3]:
     Built exactly: rational Legendre-derivative coefficients, the binomial
     expansion of (x1 + i x2)^m, and multinomial padding by powers of
     (x1^2 + x2^2 + x3^2); a single irrational normalization scales all
-    monomials at the end.
+    monomials at the end.  The build is memoized per (ell, m); each call
+    returns a fresh list of the shared frozen monomials.
     """
     if ell < 0 or abs(m) > ell:
         raise ValueError(f"invalid harmonic index (ell={ell}, m={m})")
+    return list(_ylm_monomials(ell, m))
+
+
+# Depends on (ell, m) alone; the bound holds every (ell, m) with ell <= 21.
+@functools.lru_cache(maxsize=512)
+def _ylm_monomials(ell: int, m: int) -> tuple[Monomial3, ...]:
     mm = abs(m)
     leg = _legendre_coefficients(ell)
     # m-th derivative of the Legendre polynomial, exact rationals.
@@ -307,7 +314,7 @@ def ylm_as_polynomial(ell: int, m: int) -> list[Monomial3]:
             out.append(Monomial3(a, b, g, norm * coeff.conjugate()))
         else:
             out.append(Monomial3(a, b, g, sign * norm * coeff))
-    return out
+    return tuple(out)
 
 
 def hat_ylm(params: FuzzyParams, ell: int, m: int) -> HatResult:

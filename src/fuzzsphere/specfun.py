@@ -1,4 +1,4 @@
-"""Jacobi polynomials and associated Legendre functions.
+"""Jacobi polynomials.
 
 Integer (possibly negative) Jacobi parameters are evaluated by the explicit
 binomial sum, which stays well defined where the classical recurrences break
@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import binomial, factorial
+from .algebra import binomial
 
-__all__ = ["JacobiParams", "jacobi", "jacobi_sum", "assoc_legendre"]
+__all__ = ["JacobiParams", "jacobi", "jacobi_sum"]
 
 
 @dataclass(frozen=True)
@@ -55,21 +55,3 @@ def jacobi(params: JacobiParams, x: float) -> float:
         factor = (num / den) * ((x - 1.0) / 2.0) ** ell
         return factor * jacobi_sum(n - ell, ell, beta, x)
     return jacobi_sum(n, alpha, beta, x)
-
-
-def assoc_legendre(j: int, m: int, z: float) -> float:
-    """Associated Legendre P_j^m(z) with the Condon-Shortley phase.
-
-    Negative m uses P_j^(-m) = (-1)^m (j-m)!/(j+m)! P_j^m.
-    """
-    if abs(m) > j:
-        raise ValueError(f"|m|={abs(m)} exceeds degree j={j}")
-    if m < 0:
-        k = -m
-        scale = (-1) ** k * factorial(j - k) / factorial(j + k)
-        return scale * assoc_legendre(j, k, z)
-    # Inverted Jacobi relation: the (m, m)-Jacobi polynomial of degree j-m
-    # carries the full z-dependence apart from the (1-z^2)^(m/2) factor.
-    scale = (-1) ** m * factorial(j + m) / (factorial(j) * 2.0**m)
-    body = (1.0 - z * z) ** (m / 2.0) if m else 1.0
-    return scale * body * jacobi(JacobiParams(j - m, m, m), z)

@@ -1,9 +1,9 @@
 """Spin spherical harmonics, their generator matrices, and rotations.
 
-The primary evaluator is the Jacobi-polynomial closed form with the
-negative-index reflection folded into the half-power prefactors, so values
-stay finite (and correct) at the poles.  The binomial double-sum form is
-kept as an independent oracle.
+The harmonics are entries of the SU(2) representation matrices (see
+:func:`ssh_eval`), so they share the one eigenbasis kernel of
+:mod:`fuzzsphere.wigner`, its exact north pole and its working range
+``D_MATRIX_MAX_TWO_J``.  Every mu at a point is one D column (:func:`ssh_column`).
 """
 
 from __future__ import annotations
@@ -14,17 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import binomial, factorial, parity_sign
+from .algebra import parity_sign
 from .quad import SpherePoint
-from .specfun import JacobiParams, jacobi
-from .wigner import Su2Element, wigner_D
+from .wigner import Su2Element, su2_from_rotation, wigner_D, wigner_D_column, wigner_D_matrix
 
 __all__ = [
     "SshParams",
     "SpherePoint",
     "OperatorMatrix",
     "ssh_eval",
-    "ssh_eval_binomial",
+    "ssh_column",
     "lambda_matrices",
     "lambda_plus",
     "lambda_minus",
@@ -174,100 +173,35 @@ class OperatorMatrix:
         return f"OperatorMatrix(two_j={self.two_j}, hermitian={self.hermitian})"
 
 
-def _norm_ratio(two_j: int, two_mu: int, two_sigma: int) -> float:
-    """sqrt[(j-mu)!(j+mu)! / ((j-sigma)!(j+sigma)!)], exact under the root."""
-    num = factorial((two_j - two_mu) // 2) * factorial((two_j + two_mu) // 2)
-    den = factorial((two_j - two_sigma) // 2) * factorial((two_j + two_sigma) // 2)
-    return math.sqrt(num / den)
+def _prefactor(params: SshParams) -> complex:
+    """i^(2 sigma) e^(i sigma psi) sqrt((2j+1)/(4 pi))."""
+    ts = params.two_sigma
+    phase = half_power_of_minus_one(ts) * cmath.exp(0.5j * ts * params.psi)
+    return phase * math.sqrt(params.dim / FOUR_PI)
 
 
 def ssh_eval(params: SshParams, two_mu: int, x: SpherePoint) -> complex:
     """Value of the spin-sigma harmonic with projection mu at x.
 
-    Jacobi-form evaluation; the reflection for negative polynomial indices
-    is folded so the half-powers of (1 +- cos theta) keep nonnegative
-    exponents and the poles evaluate by their finite limits.
+    Y_mu^sigma(theta, phi) = i^(2 sigma) e^(i sigma psi) e^(i mu phi)
+    sqrt((2j+1)/(4 pi)) D^j_{mu sigma}(theta/2, 0, pi/2), one entry of the
+    representation matrix (:func:`fuzzsphere.wigner.wigner_D`): exact at
+    the north pole, and for 2j <= D_MATRIX_MAX_TWO_J only.
     """
     tj, ts = params.two_j, params.two_sigma
     if (two_mu - tj) % 2:
         raise ValueError(f"2mu={two_mu} parity differs from 2j={tj}")
     if abs(two_mu) > tj:
         raise ValueError(f"|2mu|={abs(two_mu)} exceeds 2j={tj}")
-
-    c = math.cos(x.theta)
-    n = (tj - two_mu) // 2
-    alpha = (two_mu - ts) // 2
-    beta = (two_mu + ts) // 2
-    em = alpha  # doubled exponent of (1 - cos theta)
-    ep = beta  # doubled exponent of (1 + cos theta)
-
-    factor = 1.0
-    # Fold a negative first index: the reflection's ((c-1)/2)^l absorbs the
-    # negative (1-c) exponent, leaving (1-c)^(l/2).
-    if alpha < 0:
-        ell = -alpha
-        factor *= (-1) ** ell * 2.0 ** (-ell) * binomial(n + beta, ell) / binomial(n, ell)
-        n -= ell
-        alpha = ell
-        em = ell
-    # Fold a negative second index through the parity flip to -c, then the
-    # same reflection; (1+c)^(B/2+k) = (1+c)^(k/2).
-    negate_arg = False
-    if beta < 0:
-        k = -beta
-        factor *= (-1) ** (n + k) * 2.0 ** (-k) * binomial(n + alpha, k) / binomial(n, k)
-        n -= k
-        alpha, beta = k, alpha
-        ep = k
-        negate_arg = True
-
-    arg = -c if negate_arg else c
-    poly = jacobi(JacobiParams(n, alpha, beta), arg) if n >= 0 else 0.0
-    # 1 -+ cos theta via half angles: exact integer powers, no cancellation
-    # at the poles (em, ep are nonnegative after folding).
-    sh = math.sin(x.theta / 2.0)
-    ch = math.cos(x.theta / 2.0)
-    body = factor * poly * 2.0 ** ((em + ep) / 2.0) * sh**em * ch**ep
-
-    phase = (
-        half_power_of_minus_one(two_mu)
-        * cmath.exp(1j * (ts / 2.0) * params.psi)
-        * cmath.exp(1j * (two_mu / 2.0) * x.phi)
-    )
-    norm = math.sqrt((tj + 1) / FOUR_PI) * _norm_ratio(tj, two_mu, ts) * 2.0 ** (-two_mu / 2.0)
-    return phase * norm * body
+    d = wigner_D(tj, two_mu, ts, Su2Element(x.theta / 2, 0.0, math.pi / 2))
+    return _prefactor(params) * cmath.exp(0.5j * two_mu * x.phi) * d
 
 
-def ssh_eval_binomial(params: SshParams, two_mu: int, x: SpherePoint) -> complex:
-    """Independent binomial-sum evaluator (test oracle).
-
-    The tangent half-angle series is expanded into sin/cos half-angle
-    powers, which keeps it regular at both poles.
-    """
+def ssh_column(params: SshParams, x: SpherePoint) -> np.ndarray:
+    """Every harmonic of the family at x, mu ascending, from one D column."""
     tj, ts = params.two_j, params.two_sigma
-    if (two_mu - tj) % 2:
-        raise ValueError(f"2mu={two_mu} parity differs from 2j={tj}")
-    if abs(two_mu) > tj:
-        raise ValueError(f"|2mu|={abs(two_mu)} exceeds 2j={tj}")
-    j_minus_s = (tj - ts) // 2
-    j_plus_s = (tj + ts) // 2
-    s_minus_mu = (ts - two_mu) // 2
-    ch = math.cos(x.theta / 2.0)
-    sh = math.sin(x.theta / 2.0)
-    total = 0.0
-    for t in range(max(0, -s_minus_mu), min(j_minus_s, (tj + two_mu) // 2) + 1):
-        p = 2 * t + s_minus_mu
-        coef = binomial(j_minus_s, t) * binomial(j_plus_s, t + s_minus_mu)
-        if coef == 0:
-            continue
-        total += (-1) ** t * coef * ch ** (tj - p) * sh**p
-    phase = (
-        half_power_of_minus_one(ts)
-        * cmath.exp(1j * (ts / 2.0) * params.psi)
-        * cmath.exp(1j * (two_mu / 2.0) * x.phi)
-    )
-    norm = math.sqrt((tj + 1) / FOUR_PI) * _norm_ratio(tj, two_mu, ts)
-    return phase * norm * total
+    d = wigner_D_column(tj, ts, Su2Element(x.theta / 2, 0.0, math.pi / 2))
+    return _prefactor(params) * np.exp(0.5j * x.phi * np.arange(-tj, tj + 1, 2)) * d
 
 
 def lambda_plus(params: SshParams) -> OperatorMatrix:
@@ -300,12 +234,7 @@ def lambda_matrices(params: SshParams) -> tuple[OperatorMatrix, OperatorMatrix, 
 
 def rotation_operator(params: SshParams, xi: Su2Element) -> OperatorMatrix:
     """Unitary rotation matrix in the harmonic basis: entries D^j_{nu mu}(xi)."""
-    tj = params.two_j
-    m = np.empty((tj + 1, tj + 1), dtype=complex)
-    for r, tnu in enumerate(params.projections()):
-        for c, tmu in enumerate(params.projections()):
-            m[r, c] = wigner_D(tj, tnu, tmu, xi)
-    return OperatorMatrix(tj, m)
+    return OperatorMatrix(params.two_j, wigner_D_matrix(params.two_j, xi))
 
 
 def family_rotation_element(axis, angle: float) -> Su2Element:
@@ -318,8 +247,6 @@ def family_rotation_element(axis, angle: float) -> Su2Element:
     section, not of the representation).  Coherent states and quantized
     operators transform exactly with it for every sigma.
     """
-    from .wigner import su2_from_rotation
-
     return su2_from_rotation(axis, angle).conjugate_element()
 
 

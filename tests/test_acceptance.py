@@ -4,6 +4,7 @@ Each test prints one machine-readable pass/fail line; run with -s (or rely
 on pytest's captured-output display) to see the residuals.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -25,8 +26,14 @@ from fuzzsphere.fuzzy import (
     symmetrization_commutator_check,
 )
 from fuzzsphere.quad import SphereGrid, SpherePoint, integrate_sphere
-from fuzzsphere.ssh import OperatorMatrix, SshParams, lambda_matrices, ssh_eval, ssh_eval_binomial
-from fuzzsphere.wigner import three_j_twice
+from fuzzsphere.ssh import (
+    OperatorMatrix,
+    SshParams,
+    half_power_of_minus_one,
+    lambda_matrices,
+    ssh_eval,
+)
+from fuzzsphere.wigner import Su2Element, three_j_twice, wigner_D_sum
 
 FOUR_PI = 4 * math.pi
 
@@ -35,6 +42,15 @@ def spin_pairs(two_j_max):
     for tj in range(0, two_j_max + 1):
         for ts in range(-tj, tj + 1, 2):
             yield tj, ts
+
+
+def ssh_by_sum(p: SshParams, two_mu: int, x: SpherePoint) -> complex:
+    """The harmonic from the explicit-sum D entry (the small-j oracle)."""
+    phase = half_power_of_minus_one(p.two_sigma) * cmath.exp(
+        0.5j * (p.two_sigma * p.psi + two_mu * x.phi)
+    )
+    d = wigner_D_sum(p.two_j, two_mu, p.two_sigma, Su2Element(x.theta / 2, 0.0, math.pi / 2))
+    return phase * math.sqrt((p.two_j + 1) / FOUR_PI) * d
 
 
 def report(number: int, name: str, residual: float, tol: float) -> None:
@@ -193,7 +209,7 @@ def test_criterion_08_ssh_integrity():
                 v = ssh_eval(p, tmu, x)
                 total += abs(v) ** 2
                 worst_forms = max(
-                    worst_forms, abs(v - ssh_eval_binomial(p, tmu, x))
+                    worst_forms, abs(v - ssh_by_sum(p, tmu, x))
                 )
             worst_sum = max(worst_sum, abs(total - (tj + 1) / FOUR_PI))
         grid = SphereGrid.auto(tj, 0, p.phi_period)

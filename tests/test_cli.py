@@ -309,3 +309,48 @@ def test_verify_rejects_two_j_max_below_one(capsys, two_j_max):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "--two-j-max" in err
+
+
+def test_verify_rejects_unknown_tolerance_name(capsys):
+    code, out, err = run(
+        capsys, "verify", "--suite", "fock", "--tol", "no_such_check=1e-30"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "no_such_check" in err
+    assert "fock_quadrature_vs_algebraic" in err and "fock_lowering_exact" in err
+
+
+def test_verify_rejects_check_outside_suite(capsys):
+    code, out, err = run(
+        capsys, "verify", "--suite", "fock", "--tol", "identity_resolution=1"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "identity_resolution" in err
+
+
+@pytest.mark.parametrize("spec", ["fock_qp_corner", "fock_qp_corner="])
+def test_verify_rejects_tolerance_without_value(capsys, spec):
+    code, out, err = run(capsys, "verify", "--suite", "fock", "--tol", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "CHECK=VALUE" in err
+    assert "fock_qp_identity_block" in err
+
+
+def test_check_name_table_matches_reported_residuals():
+    from fuzzsphere.cli import _suite_checks, run_checks
+
+    for suite in ("default", "fock", "appendix-b"):
+        assert [r[0] for r in run_checks(suite, 1)] == _suite_checks(suite)
+
+
+def test_ssh_eval_past_working_range_exits_2(capsys):
+    from fuzzsphere.wigner import D_MATRIX_MAX_TWO_J
+
+    args = ["ssh-eval", "--two-sigma", "1", "--two-mu", "1", "--theta", "0.7", "--phi", "0"]
+    code, out, err = run(capsys, *args, "--two-j", str(D_MATRIX_MAX_TWO_J + 1))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(D_MATRIX_MAX_TWO_J) in err
+    assert "Traceback" not in err

@@ -120,6 +120,22 @@ def test_mutating_sym_product_result_leaves_hat_ylm_unchanged():
     assert np.array_equal(hat_ylm(fp, 2, 1).matrix.entries, before)
 
 
+def test_mutating_ylm_polynomial_leaves_later_output_unchanged():
+    fp = FuzzyParams(4, 2)
+    first = ylm_as_polynomial(3, -2)
+    snapshot = list(first)
+    hat_before = hat_ylm(fp, 3, -2).matrix.entries.copy()
+    first[0] = Monomial3(3, 0, 0, 99.0)
+    first.append(Monomial3(0, 0, 1, 5.0))
+    second = ylm_as_polynomial(3, -2)
+    assert second == snapshot and second is not first
+    second.clear()
+    with pytest.raises(AttributeError):
+        ylm_as_polynomial(3, -2)[0].coefficient = 1.0  # the monomials are frozen
+    assert ylm_as_polynomial(3, -2) == snapshot
+    assert np.array_equal(hat_ylm(fp, 3, -2).matrix.entries, hat_before)
+
+
 def test_memo_clear_is_bitwise_neutral():
     # Built one degree at a time (ell 3, then 6), then rebuilt at once.
     fp = FuzzyParams(6, 2)

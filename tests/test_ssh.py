@@ -12,15 +12,22 @@ from fuzzsphere.ssh import (
     OperatorMatrix,
     SshParams,
     family_rotation_element,
+    half_power_of_minus_one,
     lambda_matrices,
     lambda_minus,
     lambda_plus,
     rotation_operator,
+    ssh_column,
     ssh_conjugation_check,
     ssh_eval,
-    ssh_eval_binomial,
 )
-from fuzzsphere.wigner import Su2Element, so3_matrix, su2_from_rotation
+from fuzzsphere.wigner import (
+    D_MATRIX_MAX_TWO_J,
+    Su2Element,
+    so3_matrix,
+    su2_from_rotation,
+    wigner_D_sum,
+)
 
 FOUR_PI = 4 * math.pi
 RNG = np.random.default_rng(77)
@@ -30,6 +37,15 @@ def random_point(params: SshParams) -> SpherePoint:
     return SpherePoint(
         float(RNG.uniform(0.0, math.pi)), float(RNG.uniform(0.0, params.phi_period))
     )
+
+
+def ssh_by_sum(p: SshParams, two_mu: int, x: SpherePoint) -> complex:
+    """The harmonic from the explicit-sum D entry (the small-j oracle)."""
+    phase = half_power_of_minus_one(p.two_sigma) * cmath.exp(
+        0.5j * (p.two_sigma * p.psi + two_mu * x.phi)
+    )
+    d = wigner_D_sum(p.two_j, two_mu, p.two_sigma, Su2Element(x.theta / 2, 0.0, math.pi / 2))
+    return phase * math.sqrt((p.two_j + 1) / FOUR_PI) * d
 
 
 def spin_pairs(two_j_max):
@@ -113,7 +129,104 @@ def test_two_closed_forms_agree():
             pts = [SpherePoint(0.0, 0.3), SpherePoint(math.pi, 1.0)]
             pts += [random_point(p) for _ in range(4)]
             for x in pts:
-                assert abs(ssh_eval(p, tmu, x) - ssh_eval_binomial(p, tmu, x)) < 1e-12
+                assert abs(ssh_eval(p, tmu, x) - ssh_by_sum(p, tmu, x)) < 1e-12
+
+
+def small_d_mp(tj: int, tm1: int, tm2: int, theta: float) -> float:
+    """Wigner d^j_{m1 m2}(theta), computed to 50 digits by the Jacobi closed form,
+    with k the smallest of j +- m1, j +- m2 so that both Jacobi
+    parameters are non-negative."""
+    mp = pytest.importorskip("mpmath")
+    k = min((tj + tm2) // 2, (tj - tm2) // 2, (tj + tm1) // 2, (tj - tm1) // 2)
+    diff = (tm1 - tm2) // 2
+    if k in ((tj + tm2) // 2, (tj - tm1) // 2):
+        a, sign = diff, (-1) ** diff
+    else:
+        a, sign = -diff, 1
+    b = tj - 2 * k - a
+    with mp.workdps(50):
+        half = mp.mpf(theta) / 2
+        return float(
+            sign
+            * mp.sqrt(mp.binomial(tj - k, k + a) / mp.binomial(k + b, b))
+            * mp.sin(half) ** a
+            * mp.cos(half) ** b
+            * mp.jacobi(k, a, b, mp.cos(2 * half))
+        )
+
+
+@pytest.mark.parametrize("tj", [40, 100, 200])
+def test_ssh_eval_matches_fifty_digit_jacobi_form(tj):
+    # Y_mu^sigma = i^(2 sigma) e^(i sigma psi) e^(i mu phi) sqrt((2j+1)/4pi)
+    # d^j_{mu sigma}(theta), the standard Wigner d-matrix.
+    rng = np.random.default_rng(tj)
+    spins = sorted({-tj, -tj + 2, tj % 2, tj - 4, tj})
+    thetas = [0.0, math.pi, 1e-3, math.pi / 2] + list(rng.uniform(0, math.pi, 4))
+    worst = 0.0
+    for ts in spins:
+        p = SshParams(tj, ts, psi=0.37)
+        phase = half_power_of_minus_one(ts) * cmath.exp(0.5j * ts * 0.37)
+        for tmu in spins + [int(rng.choice(range(-tj, tj + 1, 2)))]:
+            for theta in thetas:
+                x = SpherePoint(theta, 2.1)
+                want = (
+                    phase * cmath.exp(0.5j * tmu * 2.1)
+                    * math.sqrt((tj + 1) / FOUR_PI) * small_d_mp(tj, tmu, ts, theta)
+                )
+                worst = max(worst, abs(ssh_eval(p, tmu, x) - want))
+    assert worst < 1e-13, worst
+
+
+def test_ssh_column_matches_entries():
+    for tj, ts in ((0, 0), (3, -1), (8, 4), (41, 1)):
+        p = SshParams(tj, ts, psi=0.8)
+        for x in (SpherePoint(0.0, 0.4), SpherePoint(math.pi, 1.0), random_point(p)):
+            col = ssh_column(p, x)
+            want = [ssh_eval(p, tmu, x) for tmu in p.projections()]
+            assert np.abs(col - want).max() < 1e-14
+
+
+def test_ssh_properties_over_working_range():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @st.composite
+    def cases(draw):
+        tj = draw(st.one_of(
+            st.integers(0, 64), st.sampled_from([100, 201, 500, D_MATRIX_MAX_TWO_J])
+        ))
+        ts = draw(st.sampled_from(range(-tj, tj + 1, 2)))
+        tmu = draw(st.sampled_from(range(-tj, tj + 1, 2)))
+        x = SpherePoint(
+            draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, 4 * math.pi))
+        )
+        return SshParams(tj, ts), tmu, x
+
+    @hypothesis.settings(
+        max_examples=40, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(cases())
+    @hypothesis.example((SshParams(D_MATRIX_MAX_TWO_J, 2), -6, SpherePoint(2.3, 0.9)))
+    def check(case):
+        p, tmu, x = case
+        norm = (p.two_j + 1) / FOUR_PI
+        # sum rule over one column, relative to its value (2j+1)/(4 pi)
+        total = float(np.sum(np.abs(ssh_column(p, x)) ** 2))
+        assert abs(total - norm) < 1e-13 * norm
+        assert ssh_conjugation_check(p, tmu, x) < 1e-14 * math.sqrt(norm) + 1e-15
+
+    check()
+
+
+def test_ssh_eval_refuses_past_working_range():
+    top = D_MATRIX_MAX_TWO_J
+    p = SshParams(top + 1, 1)
+    for x in (SpherePoint(0.0, 0.0), SpherePoint(1.0, 0.5)):
+        with pytest.raises(ValueError, match=str(top)):
+            ssh_eval(p, 1, x)
+        with pytest.raises(ValueError, match=str(top)):
+            ssh_column(p, x)
+    assert abs(ssh_eval(SshParams(top, 0), 0, SpherePoint(0.0, 0.0))) > 0
 
 
 def test_parity_mismatch_rejected():
@@ -262,6 +375,14 @@ def test_rotation_operator_identity():
     for tj, ts in ((2, 0), (3, 1)):
         u = rotation_operator(SshParams(tj, ts), Su2Element.identity())
         assert np.abs(u.entries - np.eye(tj + 1)).max() < 1e-15
+
+
+def test_rotation_operator_unitary_at_large_spin():
+    # 2j=100 overflowed the explicit sum's factorial powers.
+    for ts in (0, 2, 100):
+        xi = family_rotation_element(np.array([0.6, 0.64, 0.48]), 2.3)
+        u = rotation_operator(SshParams(100, ts), xi).entries
+        assert np.abs(u @ u.conj().T - np.eye(101)).max() < 1e-13
 
 
 def test_rotation_operator_unitary():

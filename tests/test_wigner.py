@@ -9,6 +9,7 @@ import pytest
 
 from fuzzsphere.algebra import HalfInt, radical
 from fuzzsphere.wigner import (
+    D_MATRIX_MAX_TWO_J,
     Su2Element,
     ThreeJCacheInfo,
     ThreeJKey,
@@ -20,8 +21,9 @@ from fuzzsphere.wigner import (
     three_j_cache_info,
     three_j_twice,
     wigner_D,
-    wigner_D_jacobi,
+    wigner_D_column,
     wigner_D_matrix,
+    wigner_D_sum,
 )
 
 
@@ -400,7 +402,7 @@ def test_wigner_d_half_reproduces_defining_entries():
         assert np.abs(d - pattern).max() < 1e-15
 
 
-def test_wigner_d_matches_jacobi_form():
+def test_wigner_d_matches_sum_oracle():
     rng = np.random.default_rng(2)
     for tj in (1, 2, 3, 4, 5):
         for _ in range(4):
@@ -408,7 +410,7 @@ def test_wigner_d_matches_jacobi_form():
             for tm1 in range(-tj, tj + 1, 2):
                 for tm2 in range(-tj, tj + 1, 2):
                     a = wigner_D(tj, tm1, tm2, xi)
-                    b = wigner_D_jacobi(tj, tm1, tm2, xi)
+                    b = wigner_D_sum(tj, tm1, tm2, xi)
                     assert abs(a - b) < 1e-12
 
 
@@ -428,6 +430,82 @@ def test_wigner_d_group_homomorphism():
             lhs = wigner_D_matrix(tj, x1) @ wigner_D_matrix(tj, x2)
             rhs = wigner_D_matrix(tj, x1 * x2)
             assert np.abs(lhs - rhs).max() < 1e-10
+
+
+def test_wigner_d_entry_column_and_matrix_agree():
+    # Same kernel; only the summation order and the rounding of the psi
+    # phases (arguments up to j * 4 pi) differ.
+    rng = np.random.default_rng(7)
+    for tj in (0, 1, 4, 9, 40):
+        xi = Su2Element(*rng.uniform(0, 2 * math.pi, 3))
+        d = wigner_D_matrix(tj, xi)
+        for c, tm2 in enumerate(range(-tj, tj + 1, 2)):
+            assert np.abs(wigner_D_column(tj, tm2, xi) - d[:, c]).max() < 1e-14
+            for r, tm1 in enumerate(range(-tj, tj + 1, 2)):
+                assert abs(wigner_D(tj, tm1, tm2, xi) - d[r, c]) < 1e-14
+
+
+def test_wigner_d_exact_at_omega_zero():
+    # The middle factor is the identity exactly, so off-diagonal entries
+    # are exact zeros and the diagonal is the pure psi1 phase.
+    for tj in (1, 4, 7):
+        xi = Su2Element(0.0, 0.6, 1.9)
+        d = wigner_D_matrix(tj, xi)
+        assert np.count_nonzero(d - np.diag(np.diag(d))) == 0
+        assert np.abs(np.diag(d) - np.exp(-1j * 0.6 * np.arange(-tj, tj + 1, 2))).max() < 1e-15
+        assert wigner_D(tj, -tj, tj, xi) == 0
+        assert np.count_nonzero(wigner_D_column(tj, tj, xi)[:-1]) == 0
+
+
+def test_wigner_d_refuses_past_working_range():
+    xi = Su2Element(0.3, 0.2, 0.1)
+    top = D_MATRIX_MAX_TWO_J
+    for tj in (top + 1, top + 2):
+        with pytest.raises(ValueError, match=str(top)):
+            wigner_D_matrix(tj, xi)
+        with pytest.raises(ValueError, match=str(top)):
+            wigner_D(tj, tj, tj, xi)
+        with pytest.raises(ValueError, match=str(top)):
+            wigner_D_column(tj, -tj, xi)
+        # the pole is refused too, not answered from the exact branch
+        with pytest.raises(ValueError, match=str(top)):
+            wigner_D_matrix(tj, Su2Element.identity())
+
+
+def _spin_and_elements():
+    from hypothesis import strategies as st
+
+    angle = st.floats(0.0, 2 * math.pi, allow_nan=False)
+    element = st.builds(Su2Element, angle, angle, angle)
+    # every small spin, and a few large ones up to the top of the range
+    two_j = st.one_of(
+        st.integers(0, 64), st.sampled_from([100, 201, 500, D_MATRIX_MAX_TWO_J])
+    )
+    return two_j, element
+
+
+def test_wigner_d_properties_over_working_range():
+    hypothesis = pytest.importorskip("hypothesis")
+    two_j, element = _spin_and_elements()
+
+    @hypothesis.settings(
+        max_examples=30, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(two_j, element, element)
+    @hypothesis.example(D_MATRIX_MAX_TWO_J, Su2Element(1.1, 0.4, 2.9), Su2Element(0.7, 5.0, 0.3))
+    def check(tj, x1, x2):
+        d1 = wigner_D_matrix(tj, x1)
+        eye = np.eye(tj + 1)
+        assert np.abs(d1 @ d1.conj().T - eye).max() < 1e-13
+        # column sum rule: every column is a unit vector
+        assert np.abs(np.sum(np.abs(d1) ** 2, axis=0) - 1.0).max() < 1e-13
+        # The product element carries the rounding of its angles, which
+        # the entries amplify by up to j.
+        lhs = d1 @ wigner_D_matrix(tj, x2)
+        rhs = wigner_D_matrix(tj, x1 * x2)
+        assert np.abs(lhs - rhs).max() < 2e-15 * (tj + 10)
+
+    check()
 
 
 def test_su2_element_matrix_unitary():

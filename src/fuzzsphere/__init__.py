@@ -46,7 +46,6 @@ from .ssh import (
 from .wigner import (
     Su2Element,
     ThreeJKey,
-    orthogonality_defect,
     su2_from_rotation,
     three_j,
     three_j_cache_info,

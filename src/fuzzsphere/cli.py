@@ -11,7 +11,8 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .csquant import (
     quantize_expansion,
     quantize_quadrature,
     quantize_ylm_closed,
+    superop_action,
 )
 from .fuzzy import (
     FuzzyParams,
@@ -53,19 +55,15 @@ class RunConfig:
     two_j: int
     two_sigma: int
     psi: float = 0.0
-    radius: float = 1.0
     n_theta: int | None = None
     n_phi: int | None = None
     output: Path | None = None
     fmt: str = "json"
-    tolerances: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         SshParams(self.two_j, self.two_sigma, self.psi)
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.fmt!r}")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
 
     def ssh_params(self) -> SshParams:
         return SshParams(self.two_j, self.two_sigma, self.psi)
@@ -75,8 +73,8 @@ class RunConfig:
         band = max(self.two_j, ell_max or 0)
         auto = SphereGrid.auto(self.two_j, band, params.phi_period)
         return SphereGrid(
-            self.n_theta or auto.n_theta,
-            self.n_phi or auto.n_phi,
+            auto.n_theta if self.n_theta is None else self.n_theta,
+            auto.n_phi if self.n_phi is None else self.n_phi,
             params.phi_period,
         )
 
@@ -299,6 +297,50 @@ def _cmd_classical_limit(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verification suite
+#
+# ALL_CHECKS is the only implementation of the ten acceptance criteria:
+# `fuzzsphere verify` runs it at --two-j-max, and tests/test_acceptance.py
+# runs each check at that criterion's own scale.  A check maps two_j_max to
+# a list of (residual name, residual, tolerance).
+
+# Each check's residuals in report order (so that tolerance overrides are
+# validated before anything runs), with the spins each one covers: None
+# covers every 2j up to --two-j-max, an int caps that range, a range is
+# covered whatever --two-j-max says, and "-" marks a residual without spin.
+# `verify` prints the largest 2j a residual covered as two_j_max=.
+_CHECK_NAMES = {
+    "identity": (("identity_resolution", None),),
+    "cartesian": (("cartesian_identification", None), ("cartesian_degenerate_zero", None)),
+    "closed-vs-quadrature": (("closed_vs_quadrature", None),),
+    "fuzzy": (("fuzzy_ratio_spread", None), ("fuzzy_closed_match", None)),
+    "appendix-b": (("symmetrized_commutator", range(2, 5)),),
+    "eigen": (("ladder_eigen_l3", 4), ("ladder_eigen_l_squared", 4)),
+    "threej": (("threej_orthogonality_exact", range(0, 5)),
+               ("threej_symmetry_exact", range(0, 5))),
+    # The oracle wigner_D_sum loses precision to cancellation.  Over this
+    # check's own points it is off from ssh_eval by 1.9e-13 at 2j=24,
+    # 4.8e-13 at 26, 1.4e-12 at 30 and 3.2e-12 at 32 (tolerance 1e-12).
+    "ssh": (("ssh_sum_rule", None), ("ssh_two_closed_forms", 24),
+            ("ssh_orthonormality", None)),
+    "fock": (("fock_quadrature_vs_algebraic", "-"), ("fock_qp_identity_block", "-"),
+             ("fock_qp_corner", "-"), ("fock_lowering_exact", "-")),
+    "classical": (("classical_commutator_norm", range(2, 17, 2)),
+                  ("classical_monotone_decay", range(2, 17, 2))),
+}
+_SPANS = {name: span for rows in _CHECK_NAMES.values() for name, span in rows}
+
+
+def _reach(name: str, two_j_max: int) -> int | str:
+    """Largest 2j the residual ``name`` covers when asked for ``two_j_max``."""
+    span = _SPANS[name]
+    if span is None:
+        return two_j_max
+    if isinstance(span, int):
+        return min(two_j_max, span)
+    if isinstance(span, range):
+        return span[-1]
+    return span
+
 
 def _spin_pairs(two_j_max: int):
     for tj in range(0, two_j_max + 1):
@@ -306,11 +348,19 @@ def _spin_pairs(two_j_max: int):
             yield tj, ts
 
 
+def _worst_of(cases):
+    """Merge per-case residual lists of one shape, keeping the worst of each."""
+    return [
+        (rows[0][0], max(row[1] for row in rows), rows[0][2]) for rows in zip(*cases)
+    ]
+
+
 def _check_identity(two_j_max: int):
     worst = 0.0
     for tj, ts in _spin_pairs(two_j_max):
         p = SshParams(tj, ts)
-        a = quantize_quadrature(p, lambda x: 1.0)
+        grid = SphereGrid.auto(tj, 0, p.phi_period)
+        a = quantize_quadrature(p, lambda x: 1.0, grid)
         worst = max(worst, a.max_abs_diff(OperatorMatrix.identity(tj)))
     return [("identity_resolution", worst, 1e-12)]
 
@@ -327,10 +377,11 @@ def _check_cartesian(two_j_max: int):
         if tj == 0:
             continue
         p = SshParams(tj, ts)
+        grid = SphereGrid.auto(tj, 1, p.phi_period)
         lams = lambda_matrices(p)
         k = cartesian_factor(p)
         for a in range(3):
-            mat = quantize_quadrature(p, fns[a])
+            mat = quantize_quadrature(p, fns[a], grid)
             if ts == 0:
                 worst_zero = max(worst_zero, mat.max_abs())
             else:
@@ -356,29 +407,33 @@ def _check_closed_vs_quadrature(two_j_max: int):
     return [("closed_vs_quadrature", worst, 1e-10)]
 
 
-def _check_fuzzy(two_j_max: int):
+def _fuzzy_residuals(fp: FuzzyParams, ells):
+    """Worst m-spread of the quantized/hatted ratio over ``ells``, and worst
+    distance of a ratio from the closed-form constant."""
     spread_worst = 0.0
     closed_worst = 0.0
-    for tj, ts in _spin_pairs(two_j_max):
-        if ts == 0 or tj == 0:
-            continue
-        fp = FuzzyParams(tj, ts)
-        for ell in range(0, tj + 1):
-            ratios = empirical_ratios(fp, ell)
-            closed = c_of_ell_closed(fp, ell)
-            spread_worst = max(
-                spread_worst, max(abs(r - ratios[0]) for r in ratios)
-            )
-            closed_worst = max(closed_worst, max(abs(r - closed) for r in ratios))
+    for ell in ells:
+        ratios = empirical_ratios(fp, ell)
+        closed = c_of_ell_closed(fp, ell)
+        spread_worst = max(spread_worst, max(abs(r - ratios[0]) for r in ratios))
+        closed_worst = max(closed_worst, max(abs(r - closed) for r in ratios))
     return [
         ("fuzzy_ratio_spread", spread_worst, 1e-9),
         ("fuzzy_closed_match", closed_worst, 1e-8),
     ]
 
 
+def _check_fuzzy(two_j_max: int):
+    return _worst_of(
+        _fuzzy_residuals(FuzzyParams(tj, ts), range(0, tj + 1))
+        for tj, ts in _spin_pairs(two_j_max)
+        if ts != 0 and tj != 0
+    )
+
+
 def _check_appendix_b(_: int):
     worst = 0.0
-    for tjr in (2, 3, 4):
+    for tjr in _SPANS["symmetrized_commutator"]:
         for a1 in range(0, 6):
             for a2 in range(0, 6):
                 for a3 in range(0, 6):
@@ -393,11 +448,9 @@ def _check_appendix_b(_: int):
 
 
 def _check_eigen(two_j_max: int):
-    from .csquant import superop_action
-
     worst3 = 0.0
     worst_sq = 0.0
-    for tj, ts in _spin_pairs(min(two_j_max, 4)):
+    for tj, ts in _spin_pairs(_reach("ladder_eigen_l3", two_j_max)):
         p = SshParams(tj, ts)
         for ell in range(0, tj + 1):
             for m in range(-ell, ell + 1):
@@ -418,15 +471,15 @@ def _check_eigen(two_j_max: int):
 
 
 def _check_threej(_: int):
-    from fractions import Fraction
-
+    spins = _SPANS["threej_orthogonality_exact"]
     worst_orth = 0.0
-    worst_sym = 0.0
-    for tj1 in range(0, 5):
-        for tj2 in range(0, 5):
+    broken = 0
+    for tj1 in spins:
+        for tj2 in spins:
             for tj3 in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
-                if tj3 > 4:
+                if tj3 not in spins:
                     continue
+                sign = -1 if (tj1 + tj2 + tj3) // 2 % 2 else 1
                 for tm3 in range(-tj3, tj3 + 1, 2):
                     total = Fraction(0)
                     for tm1 in range(-tj1, tj1 + 1, 2):
@@ -435,54 +488,64 @@ def _check_threej(_: int):
                             continue
                         val = three_j_twice(tj1, tj2, tj3, tm1, tm2, tm3)
                         total += (tj3 + 1) * val.squared()
-                        # cyclic and swap symmetries, exact comparison
-                        cyc = three_j_twice(tj2, tj3, tj1, tm2, tm3, tm1)
-                        if cyc != val:
-                            worst_sym = max(worst_sym, 1.0)
-                        swap = three_j_twice(tj2, tj1, tj3, tm2, tm1, tm3)
-                        sign = (-1) ** ((tj1 + tj2 + tj3) // 2)
-                        if swap.scaled(sign) != val:
-                            worst_sym = max(worst_sym, 1.0)
-                    if total != 1:
-                        worst_orth = max(worst_orth, float(abs(total - 1)))
+                        # cyclic, swap and m-negation symmetries, compared exactly
+                        images = (
+                            three_j_twice(tj2, tj3, tj1, tm2, tm3, tm1),
+                            three_j_twice(tj2, tj1, tj3, tm2, tm1, tm3).scaled(sign),
+                            three_j_twice(tj1, tj2, tj3, -tm1, -tm2, -tm3).scaled(sign),
+                        )
+                        broken += sum(image != val for image in images)
+                    worst_orth = max(worst_orth, float(abs(total - 1)))
     return [
         ("threej_orthogonality_exact", worst_orth, 0.0),
-        ("threej_symmetry_exact", worst_sym, 0.0),
+        ("threej_symmetry_exact", float(broken), 0.0),
+    ]
+
+
+def _ssh_pointwise(p: SshParams, rng):
+    """Sum rule and the explicit-sum oracle of one (2j, 2sigma) at 100
+    random points; past the oracle's range (``_CHECK_NAMES``) only the sum
+    rule is checked and the oracle residual reads 0."""
+    from .ssh import half_power_of_minus_one
+    from .wigner import Su2Element, wigner_D_sum
+
+    with_oracle = p.two_j <= _SPANS["ssh_two_closed_forms"]
+    norm = half_power_of_minus_one(p.two_sigma) * math.sqrt((p.two_j + 1) / (4 * math.pi))
+    worst_sum = 0.0
+    worst_forms = 0.0
+    for _ in range(100):
+        x = SpherePoint(rng.uniform(0, math.pi), rng.uniform(0, p.phi_period))
+        values = [ssh_eval(p, tmu, x) for tmu in p.projections()]
+        total = sum(abs(v) ** 2 for v in values)
+        worst_sum = max(worst_sum, abs(total - (p.two_j + 1) / (4 * math.pi)))
+        if not with_oracle:
+            continue
+        # The same harmonic from the explicit-sum D entry (psi = 0).
+        xi = Su2Element(x.theta / 2, 0.0, math.pi / 2)
+        for tmu, v in zip(p.projections(), values):
+            d = wigner_D_sum(p.two_j, tmu, p.two_sigma, xi)
+            worst_forms = max(worst_forms, abs(v - norm * np.exp(0.5j * tmu * x.phi) * d))
+    return [
+        ("ssh_sum_rule", worst_sum, 1e-11),
+        ("ssh_two_closed_forms", worst_forms, 1e-12),
     ]
 
 
 def _check_ssh(two_j_max: int):
     from .quad import weighted_gram
-    from .ssh import half_power_of_minus_one
-    from .wigner import Su2Element, wigner_D_sum
 
     rng = np.random.default_rng(2024)
-    worst_sum = 0.0
-    worst_forms = 0.0
+    params = [SshParams(tj, ts) for tj, ts in _spin_pairs(two_j_max)]
+    pointwise = _worst_of([_ssh_pointwise(p, rng) for p in params])
     worst_orth = 0.0
-    for tj, ts in _spin_pairs(two_j_max):
-        p = SshParams(tj, ts)
-        for _ in range(20):
-            x = SpherePoint(rng.uniform(0, math.pi), rng.uniform(0, p.phi_period))
-            total = sum(abs(ssh_eval(p, tmu, x)) ** 2 for tmu in p.projections())
-            worst_sum = max(worst_sum, abs(total - (tj + 1) / (4 * math.pi)))
-            # The same harmonic from the explicit-sum D entry (psi = 0).
-            xi = Su2Element(x.theta / 2, 0.0, math.pi / 2)
-            norm = half_power_of_minus_one(ts) * math.sqrt((tj + 1) / (4 * math.pi))
-            for tmu in p.projections():
-                oracle = norm * np.exp(0.5j * tmu * x.phi) * wigner_D_sum(tj, tmu, ts, xi)
-                worst_forms = max(worst_forms, abs(ssh_eval(p, tmu, x) - oracle))
+    for p in params:
         # Full (non-separable) samples at every node: this cross-checks the
         # phi factorization that quantize_quadrature relies on.
-        points, weights = SphereGrid.auto(tj, 0, p.phi_period).nodes_and_weights()
+        points, weights = SphereGrid.auto(p.two_j, 0, p.phi_period).nodes_and_weights()
         basis = [[ssh_eval(p, tmu, x) for tmu in p.projections()] for x in points]
         gram = 4 * math.pi * weighted_gram(np.array(basis), np.array(weights))
         worst_orth = max(worst_orth, float(np.abs(gram - np.eye(p.dim)).max()))
-    return [
-        ("ssh_sum_rule", worst_sum, 1e-11),
-        ("ssh_two_closed_forms", worst_forms, 1e-12),
-        ("ssh_orthonormality", worst_orth, 1e-11),
-    ]
+    return pointwise + [("ssh_orthonormality", worst_orth, 1e-11)]
 
 
 def _check_fock(_: int):
@@ -498,16 +561,14 @@ def _check_fock(_: int):
 
 
 def _check_classical(_: int):
-    rows = classical_limit_report(0, [2 * j for j in range(1, 9)], 1.0)
-    worst = max(abs(r["commutator_norm"] - r["commutator_closed"]) for r in rows)
-    increases = 0.0
-    for prev, cur in zip(rows, rows[1:]):
-        increases = max(
-            increases, cur["commutator_norm"] - prev["commutator_norm"]
-        )
+    rows = classical_limit_report(0, list(_SPANS["classical_commutator_norm"]), 1.0)
+    norms = [row["commutator_norm"] for row in rows]
+    # ||[x1, x2]|| = r^2 / (j + 1) at radius r = 1
+    worst = max(abs(n - 1 / (row["two_j"] / 2 + 1)) for row, n in zip(rows, norms))
+    not_decaying = sum(b >= a for a, b in zip(norms, norms[1:]))
     return [
         ("classical_commutator_norm", worst, 1e-12),
-        ("classical_monotone_decay", max(0.0, increases), 0.0),
+        ("classical_monotone_decay", float(not_decaying), 0.0),
     ]
 
 
@@ -524,22 +585,6 @@ ALL_CHECKS = {
     "classical": _check_classical,
 }
 
-# The residuals each check reports, in order, so that tolerance overrides
-# are validated before anything runs.
-_CHECK_NAMES = {
-    "identity": ("identity_resolution",),
-    "cartesian": ("cartesian_identification", "cartesian_degenerate_zero"),
-    "closed-vs-quadrature": ("closed_vs_quadrature",),
-    "fuzzy": ("fuzzy_ratio_spread", "fuzzy_closed_match"),
-    "appendix-b": ("symmetrized_commutator",),
-    "eigen": ("ladder_eigen_l3", "ladder_eigen_l_squared"),
-    "threej": ("threej_orthogonality_exact", "threej_symmetry_exact"),
-    "ssh": ("ssh_sum_rule", "ssh_two_closed_forms", "ssh_orthonormality"),
-    "fock": ("fock_quadrature_vs_algebraic", "fock_qp_identity_block", "fock_qp_corner",
-             "fock_lowering_exact"),
-    "classical": ("classical_commutator_norm", "classical_monotone_decay"),
-}
-
 SUITES = {
     "default": list(ALL_CHECKS),
     "fock": ["fock"],
@@ -552,7 +597,7 @@ def _suite_checks(suite: str) -> list[str]:
     names = SUITES.get(suite)
     if names is None:
         raise ValueError(f"unknown suite {suite!r}; choices: {sorted(SUITES)}")
-    return [check for name in names for check in _CHECK_NAMES[name]]
+    return [check for name in names for check, _ in _CHECK_NAMES[name]]
 
 
 def run_checks(
@@ -592,7 +637,7 @@ def _cmd_verify(args) -> int:
     for name, residual, tol, ok in results:
         print(
             f"check={name} residual={residual:.3e} tol={tol:.1e} "
-            f"status={'pass' if ok else 'fail'}"
+            f"status={'pass' if ok else 'fail'} two_j_max={_reach(name, args.two_j_max)}"
         )
         failed += 0 if ok else 1
     cache = three_j_cache_info()

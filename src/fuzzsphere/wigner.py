@@ -56,7 +56,6 @@ __all__ = [
     "su2_from_rotation",
     "so3_matrix",
     "rodrigues_matrix",
-    "orthogonality_defect",
 ]
 
 
@@ -440,42 +439,3 @@ def rodrigues_matrix(axis, angle: float) -> np.ndarray:
         [[0, -ax[2], ax[1]], [ax[2], 0, -ax[0]], [-ax[1], ax[0], 0]]
     )
     return np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
-
-
-def orthogonality_defect(two_j: int, two_jp: int, order: int) -> float:
-    """Worst deviation of quadrature D-matrix inner products from
-    8 pi^2 / (2j+1) times the triple Kronecker delta.
-
-    The group is sampled on a Gauss-Legendre grid in cos(2 omega) crossed
-    with uniform psi1 over 2 pi and psi2 over 4 pi (total Haar volume
-    8 pi^2).  Low orders under-resolve the psi frequencies and report a
-    large defect; adequate orders converge to machine precision.
-    """
-    if order < 1:
-        raise ValueError("quadrature order must be >= 1")
-    n_u = order
-    n_p1 = 2 * order
-    n_p2 = 4 * order
-    u_nodes, u_weights = np.polynomial.legendre.leggauss(n_u)
-    psi1 = 2 * math.pi * np.arange(n_p1) / n_p1
-    psi2 = 4 * math.pi * np.arange(n_p2) / n_p2
-
-    dims = (two_j + 1, two_jp + 1)
-    acc = np.zeros((dims[0], dims[0], dims[1], dims[1]), dtype=complex)
-    for u, wu in zip(u_nodes, u_weights):
-        omega = math.acos(u) / 2.0
-        for p1 in psi1:
-            for p2 in psi2:
-                xi = Su2Element(omega, p1, p2)
-                dj = wigner_D_matrix(two_j, xi)
-                djp = dj if two_jp == two_j else wigner_D_matrix(two_jp, xi)
-                w = (wu / 2.0) / (n_p1 * n_p2)
-                acc += w * np.einsum("ab,cd->abcd", dj, djp.conj())
-    acc *= 8 * math.pi**2
-
-    target = np.zeros_like(acc)
-    if two_jp == two_j:
-        for r in range(dims[0]):
-            for c in range(dims[0]):
-                target[r, c, r, c] = 8 * math.pi**2 / (two_j + 1)
-    return float(np.max(np.abs(acc - target)))

@@ -97,6 +97,15 @@ def test_quantize_degenerate_sigma0(tmp_path, capsys):
     assert matrix.max_abs() == 0.0
 
 
+@pytest.mark.parametrize("flag", ["--n-theta", "--n-phi"])
+def test_quantize_zero_grid_order_exits_2(capsys, flag):
+    # 0 is a node count, not "auto": it must reach the grid's own check.
+    code, out, err = run(capsys, "quantize", "x3", "--two-j", "2", "--two-sigma", "2", flag, "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and ">= 1" in err
+
+
 def test_quantize_complex_observable_not_symmetrized(tmp_path, capsys):
     # A complex harmonic quantizes to a non-Hermitian matrix; the written
     # file must carry it unsymmetrized and match the closed form.
@@ -343,6 +352,38 @@ def test_check_name_table_matches_reported_residuals():
 
     for suite in ("default", "fock", "appendix-b"):
         assert [r[0] for r in run_checks(suite, 1)] == _suite_checks(suite)
+
+
+def test_verify_lines_name_the_spins_each_residual_covered(capsys):
+    code, out, _ = run(capsys, "verify", "--two-j-max", "1")
+    assert code == 0
+    reach = dict(re.findall(r"check=(\S+) .* two_j_max=(\S+)\n", out))
+    assert len(reach) == 20
+    assert reach["identity_resolution"] == reach["ladder_eigen_l3"] == "1"
+    assert reach["symmetrized_commutator"] == reach["threej_symmetry_exact"] == "4"
+    assert reach["classical_monotone_decay"] == "16"
+    assert reach["fock_qp_corner"] == "-"
+    # Repeated runs print the same bytes.
+    assert run(capsys, "verify", "--two-j-max", "1")[1] == out
+
+
+def test_capped_residuals_report_their_cap():
+    from fuzzsphere.cli import _reach
+
+    assert _reach("ladder_eigen_l_squared", 6) == 4
+    assert _reach("ssh_two_closed_forms", 30) == 24
+    assert _reach("ssh_sum_rule", 30) == 30
+
+
+def test_ssh_oracle_comparison_stops_at_its_range():
+    # At 2j=30 the explicit-sum oracle is off from ssh_eval by 1.6e-12 on
+    # these points, past the 1e-12 tolerance; the sum rule still holds.
+    from fuzzsphere.cli import _ssh_pointwise
+    from fuzzsphere.ssh import SshParams
+
+    results = _ssh_pointwise(SshParams(30, 0), np.random.default_rng(0))
+    assert [name for name, _, _ in results] == ["ssh_sum_rule", "ssh_two_closed_forms"]
+    assert all(residual <= tol for _, residual, tol in results), results
 
 
 def test_ssh_eval_past_working_range_exits_2(capsys):

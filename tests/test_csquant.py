@@ -220,18 +220,6 @@ def test_quadrature_non_finite_sample_names_node():
         quantize_quadrature(p, f, grid)
 
 
-def test_closed_form_matches_quadrature():
-    for tj, ts in spin_pairs(5):
-        p = SshParams(tj, ts)
-        grid = SphereGrid.auto(tj, tj, p.phi_period)
-        for ell in range(0, tj + 1):
-            for m in range(-ell, ell + 1):
-                f = HarmonicExpansion({(ell, m): 1.0}).evaluate
-                quad = quantize_quadrature(p, f, grid, hermitize=False)
-                closed = quantize_ylm_closed(p, ell, m)
-                assert closed.max_abs_diff(quad) < 1e-10, (tj, ts, ell, m)
-
-
 def _closed_form_full_scan(params, ell, m):
     """The closed form by a scan of all dim^2 (mu, nu) pairs, skipping the
     ones that do not couple."""
@@ -460,11 +448,6 @@ def test_fock_demo_lowering_action_exact():
         want = np.zeros(9)
         want[n - 1] = math.sqrt(n)
         assert np.array_equal(out.real, want) and not out.imag.any()
-
-
-def test_fock_demo_quadrature_matches_algebra():
-    _, report = fock_demo(8)
-    assert report["a_quadrature_max_dev"] < 1e-8
 
 
 def test_fock_demo_commutator_structure():

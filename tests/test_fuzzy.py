@@ -396,20 +396,6 @@ def test_symmetrization_commutator_examples():
     assert symmetrization_commutator_check(3, (2, 2, 1), 3) < 1e-12
 
 
-def test_symmetrization_commutator_all_axes_degree5():
-    for tjr in (2, 3, 4):
-        for a1 in range(0, 6):
-            for a2 in range(0, 6):
-                for a3 in range(0, 6):
-                    if not 0 < a1 + a2 + a3 <= 5:
-                        continue
-                    for axis in (1, 2, 3):
-                        assert (
-                            symmetrization_commutator_check(tjr, (a1, a2, a3), axis)
-                            < 1e-12
-                        )
-
-
 def test_commutation_relations_scaled_generators():
     for tj in (2, 3, 4, 6):
         fp = FuzzyParams(tj, tj % 2 if tj % 2 else 2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fuzzsphere.algebra import binomial
-from fuzzsphere.quad import SphereGrid, SpherePoint, integrate_sphere
+from fuzzsphere.quad import SpherePoint
 from fuzzsphere.ssh import (
     OperatorMatrix,
     SshParams,
@@ -234,29 +234,6 @@ def test_parity_mismatch_rejected():
         ssh_eval(SshParams(2, 0), 1, SpherePoint(0.3, 0.3))
     with pytest.raises(ValueError):
         ssh_eval(SshParams(2, 0), 4, SpherePoint(0.3, 0.3))
-
-
-def test_sum_rule():
-    for tj, ts in spin_pairs(6):
-        p = SshParams(tj, ts)
-        for _ in range(5):
-            x = random_point(p)
-            total = sum(abs(ssh_eval(p, tmu, x)) ** 2 for tmu in p.projections())
-            assert abs(total - (tj + 1) / FOUR_PI) < 1e-11
-
-
-def test_orthonormality_including_half_integer():
-    for tj, ts in spin_pairs(6):
-        p = SshParams(tj, ts)
-        grid = SphereGrid.auto(tj, 0, p.phi_period)
-        for tmu in p.projections():
-            for tnu in p.projections():
-                val = FOUR_PI * integrate_sphere(
-                    lambda x: ssh_eval(p, tmu, x).conjugate() * ssh_eval(p, tnu, x),
-                    grid,
-                )
-                want = 1.0 if tmu == tnu else 0.0
-                assert abs(val - want) < 1e-11
 
 
 def test_conjugation_symmetry():

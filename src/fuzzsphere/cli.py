@@ -11,6 +11,7 @@ import argparse
 import math
 import re
 import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -266,19 +267,15 @@ def _cmd_export(args) -> int:
 def _cmd_fuzzy_compare(args) -> int:
     fp = FuzzyParams(args.two_j, args.two_sigma, args.radius)
     ells = [args.ell] if args.ell is not None else list(range(0, args.two_j + 1))
-    status = 0
-    for ell in ells:
-        closed = c_of_ell_closed(fp, ell)
-        ratios = empirical_ratios(fp, ell)
-        spread = max(abs(r - ratios[0]) for r in ratios)
-        dev = max(abs(r - closed) for r in ratios)
+    rows: list[tuple] = []
+    # The verify check `fuzzy` runs the same residuals and tolerances.
+    residuals = _fuzzy_residuals(fp, ells, rows)
+    for ell, closed, ratio, spread, dev in rows:
         print(
-            f"ell={ell} c_closed={closed:.12g} ratio={ratios[0].real:.12g} "
+            f"ell={ell} c_closed={closed:.12g} ratio={ratio.real:.12g} "
             f"spread={spread:.3e} closed_dev={dev:.3e}"
         )
-        if spread > 1e-9 or dev > 1e-8:
-            status = 1
-    return status
+    return 0 if all(residual <= tol for _, residual, tol in residuals) else 1
 
 
 def _cmd_classical_limit(args) -> int:
@@ -360,16 +357,16 @@ def _check_identity(two_j_max: int):
     for tj, ts in _spin_pairs(two_j_max):
         p = SshParams(tj, ts)
         grid = SphereGrid.auto(tj, 0, p.phi_period)
-        a = quantize_quadrature(p, lambda x: 1.0, grid)
+        a = quantize_quadrature(p, lambda theta, phi: 1.0, grid)
         worst = max(worst, a.max_abs_diff(OperatorMatrix.identity(tj)))
     return [("identity_resolution", worst, 1e-12)]
 
 
 def _check_cartesian(two_j_max: int):
     fns = [
-        lambda x: x.unit_vector()[0],
-        lambda x: x.unit_vector()[1],
-        lambda x: math.cos(x.theta),
+        lambda theta, phi: np.sin(theta) * np.cos(phi),
+        lambda theta, phi: np.sin(theta) * np.sin(phi),
+        lambda theta, phi: np.cos(theta),
     ]
     worst = 0.0
     worst_zero = 0.0
@@ -407,16 +404,21 @@ def _check_closed_vs_quadrature(two_j_max: int):
     return [("closed_vs_quadrature", worst, 1e-10)]
 
 
-def _fuzzy_residuals(fp: FuzzyParams, ells):
+def _fuzzy_residuals(fp: FuzzyParams, ells, rows: list | None = None):
     """Worst m-spread of the quantized/hatted ratio over ``ells``, and worst
-    distance of a ratio from the closed-form constant."""
+    distance of a ratio from the closed-form constant.  ``rows``, if given,
+    receives (ell, closed constant, first ratio, spread, distance) per ell."""
     spread_worst = 0.0
     closed_worst = 0.0
     for ell in ells:
         ratios = empirical_ratios(fp, ell)
         closed = c_of_ell_closed(fp, ell)
-        spread_worst = max(spread_worst, max(abs(r - ratios[0]) for r in ratios))
-        closed_worst = max(closed_worst, max(abs(r - closed) for r in ratios))
+        spread = max(abs(r - ratios[0]) for r in ratios)
+        dev = max(abs(r - closed) for r in ratios)
+        if rows is not None:
+            rows.append((ell, closed, ratios[0], spread, dev))
+        spread_worst = max(spread_worst, spread)
+        closed_worst = max(closed_worst, dev)
     return [
         ("fuzzy_ratio_spread", spread_worst, 1e-9),
         ("fuzzy_closed_match", closed_worst, 1e-8),
@@ -601,10 +603,14 @@ def _suite_checks(suite: str) -> list[str]:
 
 
 def run_checks(
-    suite: str, two_j_max: int, overrides: dict[str, float] | None = None
+    suite: str,
+    two_j_max: int,
+    overrides: dict[str, float] | None = None,
+    wall_times: dict[str, float] | None = None,
 ) -> list[tuple[str, float, float, bool]]:
     """Run a suite; ``overrides`` replaces the tolerance of named residuals,
-    and a name the suite does not report raises ValueError."""
+    and a name the suite does not report raises ValueError.  ``wall_times``,
+    if given, receives the wall time in seconds of each battery entry run."""
     valid = _suite_checks(suite)
     # Below 1 the spin loops are empty and every residual would read 0.
     if two_j_max < 1:
@@ -617,7 +623,11 @@ def run_checks(
         )
     results = []
     for name in SUITES[suite]:
-        for check, residual, tol in ALL_CHECKS[name](two_j_max):
+        start = time.perf_counter()
+        rows = ALL_CHECKS[name](two_j_max)
+        if wall_times is not None:
+            wall_times[name] = time.perf_counter() - start
+        for check, residual, tol in rows:
             if overrides and check in overrides:
                 tol = overrides[check]
             results.append((check, residual, tol, residual <= tol))
@@ -632,7 +642,12 @@ def _cmd_verify(args) -> int:
             valid = ", ".join(_suite_checks(args.suite))
             raise ValueError(f"--tol {spec_item!r} is not CHECK=VALUE; valid checks: {valid}")
         overrides[name] = float(value)
-    results = run_checks(args.suite, args.two_j_max, overrides)
+    wall_times: dict[str, float] = {}
+    results = run_checks(args.suite, args.two_j_max, overrides, wall_times)
+    # Timings vary from run to run, so they go to stderr: stdout stays
+    # byte-identical.
+    for name, seconds in wall_times.items():
+        print(f"check={name} wall_s={seconds:.3f}", file=sys.stderr)
     failed = 0
     for name, residual, tol, ok in results:
         print(

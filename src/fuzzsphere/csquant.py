@@ -9,10 +9,18 @@ All frame integrals carry the measure sin(theta) dtheta dphi of total mass
 4 pi (half-weighted on the double cover), which is what makes the harmonic
 basis orthonormal and the identity resolve exactly; the normalized grids of
 :mod:`fuzzsphere.quad` are rescaled accordingly.
+
+Quadrature runs ring by ring.  The observable is one array-valued call on
+the whole product grid, f(theta[:, None], phi[None, :]); the harmonics are
+sampled once per ring of constant theta (:func:`fuzzsphere.ssh.ssh_rings`),
+memoized per (family, grid) so every observable of a family shares them;
+and the Gram sum splits exactly into a phi transform per ring and a sum
+over rings (:func:`fuzzsphere.quad.ring_gram`), both exact float sums.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -20,8 +28,8 @@ from typing import Callable
 import numpy as np
 
 from .algebra import factorial, parity_sign
-from .quad import PlaneGrid, SphereGrid, SpherePoint, integrate_plane, weighted_gram
-from .ssh import OperatorMatrix, SshParams, lambda_matrices, ssh_column, ssh_eval
+from .quad import PlaneGrid, SphereGrid, SpherePoint, ring_gram, weighted_gram
+from .ssh import OperatorMatrix, SshParams, lambda_matrices, ssh_column, ssh_rings
 
 __all__ = [
     "MEASURE_MASS",
@@ -99,53 +107,58 @@ def _default_grid(params: SshParams, ell_max: int | None = None) -> SphereGrid:
     return SphereGrid.auto(params.two_j, band, params.phi_period)
 
 
+# One (n_theta, dim) array per entry: 84 x 41 complex (55 kB) at 2j = 40 on
+# its default grid.
+@functools.lru_cache(maxsize=16)
+def _ring_basis(params: SshParams, grid: SphereGrid) -> np.ndarray:
+    """Read-only harmonics of the family on every ring of the grid, at phi = 0."""
+    basis = ssh_rings(params, grid.rings().theta)
+    basis.flags.writeable = False
+    return basis
+
+
 def quantize_quadrature(
     params: SshParams,
-    f: Callable[[SpherePoint], complex],
+    f: Callable[[np.ndarray, np.ndarray], object],
     grid: SphereGrid | None = None,
     hermitize: bool = True,
 ) -> OperatorMatrix:
     """Frame quantization of f by quadrature.
 
-    Entries are the mass-4pi integrals of conj(Y_mu) f Y_nu.  When f is real
-    on every node the result is symmetrized and flagged Hermitian (the raw
-    asymmetry is quadrature noise); pass hermitize=False to inspect the raw
-    matrix.
+    Entries are the mass-4pi integrals of conj(Y_mu) f Y_nu.  f is called
+    once, as f(theta[:, None], phi[None, :]) with the grid's ring angles and
+    azimuths, and its result is broadcast to (n_theta, n_phi); a scalar
+    stands for a constant.  A non-finite sample raises ValueError naming its
+    node (ring-major order, as in :meth:`SphereGrid.nodes_and_weights`) and
+    its angles.  When f is real on every node the result is symmetrized and
+    flagged Hermitian (the raw asymmetry is quadrature noise); pass
+    hermitize=False to inspect the raw matrix.
 
-    f is sampled once per node of the (cached) grid.  The harmonics are
-    sampled separably: on the product grid Y_mu(theta_k, phi_i) =
-    Y_mu(theta_k, 0) exp(i mu phi_i), so each ring takes one D-matrix
-    column (:func:`fuzzsphere.ssh.ssh_column`).  Every entry is then one
-    exact float sum of its weighted terms
-    (:func:`fuzzsphere.quad.weighted_gram`), bit-reproducible and
-    independent of BLAS.  No 3j-symbol enters, which keeps this route an
-    independent check of the closed form.
+    On the product grid Y_mu(theta_k, phi_i) = Y_mu(theta_k, 0)
+    exp(i mu phi_i), so the harmonics are one memoized array per (family,
+    grid) and the sum over nodes runs ring by ring
+    (:func:`fuzzsphere.quad.ring_gram`), exact and bit-reproducible.  No
+    3j-symbol enters, which keeps this route an independent check of the
+    closed form.
     """
     if grid is None:
         grid = _default_grid(params)
-    points, weights = grid.nodes_and_weights()
-    fvals = np.empty(len(points), dtype=complex)
-    f_is_real = True
-    for idx, x in enumerate(points):
-        v = complex(f(x))
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValueError(
-                f"non-finite sample {v} at node {idx} "
-                f"(theta={x.theta!r}, phi={x.phi!r})"
-            )
-        fvals[idx] = v
-        if abs(v.imag) > 1e-14 * max(1.0, abs(v.real)):
-            f_is_real = False
+    rings = grid.rings()
+    shape = (grid.n_theta, grid.n_phi)
+    fvals = np.broadcast_to(
+        np.asarray(f(rings.theta[:, None], rings.phi[None, :]), dtype=complex), shape
+    )
+    finite = np.isfinite(fvals)
+    if not finite.all():
+        idx = int(np.flatnonzero(~finite)[0])
+        k, i = divmod(idx, grid.n_phi)
+        raise ValueError(
+            f"non-finite sample {complex(fvals[k, i])} at node {idx} "
+            f"(theta={float(rings.theta[k])!r}, phi={float(rings.phi[i])!r})"
+        )
+    f_is_real = not np.any(np.abs(fvals.imag) > 1e-14 * np.maximum(1.0, np.abs(fvals.real)))
 
-    # Nodes run ring by ring: n_phi consecutive nodes share one theta.
-    n_phi = grid.n_phi
-    rings = np.array([ssh_column(params, SpherePoint(x.theta, 0.0)) for x in points[::n_phi]])
-    phis = np.array([x.phi for x in points[:n_phi]])
-    mus = np.array(params.projections()) / 2.0
-    phases = np.exp(1j * np.outer(phis, mus))
-    basis = (rings[:, None, :] * phases[None, :, :]).reshape(len(points), params.dim)
-
-    entries = MEASURE_MASS * weighted_gram(basis, np.array(weights) * fvals)
+    entries = MEASURE_MASS * ring_gram(_ring_basis(params, grid), fvals, rings)
     out = OperatorMatrix(params.two_j, entries)
     if hermitize and f_is_real:
         return out.hermitized()
@@ -190,10 +203,22 @@ class HarmonicExpansion:
             if ell < 0 or abs(m) > ell:
                 raise ValueError(f"invalid harmonic index (ell={ell}, m={m})")
 
-    def evaluate(self, x: SpherePoint) -> complex:
-        total = 0j
+    def evaluate(self, theta, phi) -> np.ndarray:
+        """Value at polar and azimuthal angles, arrays broadcast together.
+
+        Each degree ell takes one :func:`fuzzsphere.ssh.ssh_rings` call over
+        all polar angles; Y_ell_m(theta, phi) = Y_ell_m(theta, 0) exp(i m phi).
+        """
+        theta = np.asarray(theta, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        total = np.zeros(np.broadcast_shapes(theta.shape, phi.shape), dtype=complex)
+        rings: dict[int, np.ndarray] = {}
         for (ell, m), coeff in sorted(self.terms.items()):
-            total += coeff * ssh_eval(SshParams(2 * ell, 0), 2 * m, x)
+            if ell not in rings:
+                rings[ell] = ssh_rings(SshParams(2 * ell, 0), theta).reshape(
+                    theta.shape + (2 * ell + 1,)
+                )
+            total = total + coeff * rings[ell][..., m + ell] * np.exp(1j * m * phi)
         return total
 
     @staticmethod
@@ -249,9 +274,13 @@ def quantize_ssh_general(
     if grid is None:
         period = 4 * math.pi if (params.two_j % 2 or two_k % 2) else 2 * math.pi
         grid = SphereGrid.auto(params.two_j, two_k, period)
-    return quantize_quadrature(
-        params, lambda x: ssh_eval(spin_params, two_n, x), grid, hermitize=False
-    )
+    column = (two_n + two_k) // 2
+
+    def harmonic(theta, phi):
+        ring = ssh_rings(spin_params, theta)[:, column].reshape(theta.shape)
+        return ring * np.exp(0.5j * two_n * phi)
+
+    return quantize_quadrature(params, harmonic, grid, hermitize=False)
 
 
 def cartesian_factor(params: SshParams) -> float:
@@ -310,14 +339,13 @@ def fock_demo(n_max: int, grid: PlaneGrid | None = None) -> tuple[FockDemoSpace,
     for n in range(1, dim):
         a_alg[n - 1, n] = math.sqrt(n)
 
-    roots = [math.sqrt(factorial(n)) for n in range(dim)]
-    a_quad = np.empty((dim, dim), dtype=complex)
-    for mrow in range(dim):
-        for ncol in range(dim):
-            val = integrate_plane(
-                lambda z: z * z**mrow * z.conjugate() ** ncol, grid
-            )
-            a_quad[mrow, ncol] = val / (roots[mrow] * roots[ncol])
+    # a[r, c] = integral of z z^r conj(z)^c / sqrt(r! c!): one Gram matrix of
+    # the basis conj(z)^c / sqrt(c!) under the weights w z.
+    points, weights = grid.nodes_and_weights()
+    z = np.array(points)
+    roots = np.array([math.sqrt(factorial(n)) for n in range(dim)])
+    basis = z.conj()[:, None] ** np.arange(dim) / roots
+    a_quad = weighted_gram(basis, np.array(weights) * z)
 
     adag = a_alg.conj().T
     q = (a_alg + adag) / math.sqrt(2)

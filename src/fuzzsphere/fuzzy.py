@@ -29,9 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import factorial, parity_sign
-from .csquant import cartesian_factor, lower_symbol, quantize_ylm_closed
-from .quad import SpherePoint
-from .ssh import OperatorMatrix, SshParams, lambda_matrices
+from .csquant import cartesian_factor, normalization_constant, quantize_ylm_closed
+from .ssh import OperatorMatrix, SshParams, lambda_matrices, ssh_rings
 
 __all__ = [
     "HAT_MAP_MAX_TWO_J",
@@ -450,17 +449,17 @@ def classical_limit_report(
             )
         fp = FuzzyParams(tj, ts, radius)
         sp = fp.ssh_params()
-        l1, l2, l3 = lambda_matrices(sp)
+        l1, l2, _ = lambda_matrices(sp)
         x1 = l1.scaled(fp.kappa)
         x2 = l2.scaled(fp.kappa)
         comm_norm = x1.commutator(x2).operator_norm()
-        k_fac = cartesian_factor(sp)
-        tilde_x3 = l3.scaled(k_fac)
+        # Symbol of x3~ = K Lambda_3 at (theta, 0): K sum_mu mu |Y_mu|^2 / N,
+        # one ring sample per theta.
+        thetas = np.linspace(0.0, math.pi, 181)
+        weights = np.abs(ssh_rings(sp, thetas)) ** 2 / normalization_constant(sp)
+        symbols = cartesian_factor(sp) * (weights @ (np.array(sp.projections()) / 2.0))
         target_scale = (ts / 2.0) / (tj / 2.0 + 1.0)
-        dev = 0.0
-        for theta in np.linspace(0.0, math.pi, 181):
-            sym = lower_symbol(sp, tilde_x3, SpherePoint(float(theta), 0.0)).real
-            dev = max(dev, abs(sym - target_scale * math.cos(theta)))
+        dev = float(np.max(np.abs(symbols - target_scale * np.cos(thetas))))
         rows.append(
             {
                 "two_j": tj,

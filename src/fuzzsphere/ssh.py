@@ -3,7 +3,9 @@
 The harmonics are entries of the SU(2) representation matrices (see
 :func:`ssh_eval`), so they share the one eigenbasis kernel of
 :mod:`fuzzsphere.wigner`, its exact north pole and its working range
-``D_MATRIX_MAX_TWO_J``.  Every mu at a point is one D column (:func:`ssh_column`).
+``D_MATRIX_MAX_TWO_J``.  Every mu at a point is one D column (:func:`ssh_column`),
+and every mu on an array of polar angles at phi = 0 is one batched product
+(:func:`ssh_rings`), the ring samples of quadrature quantization.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .algebra import parity_sign
 from .quad import SpherePoint
-from .wigner import Su2Element, su2_from_rotation, wigner_D, wigner_D_column, wigner_D_matrix
+from .wigner import Su2Element, su2_from_rotation, wigner_D, wigner_D_columns, wigner_D_matrix
 
 __all__ = [
     "SshParams",
@@ -24,6 +26,7 @@ __all__ = [
     "OperatorMatrix",
     "ssh_eval",
     "ssh_column",
+    "ssh_rings",
     "lambda_matrices",
     "lambda_plus",
     "lambda_minus",
@@ -197,11 +200,26 @@ def ssh_eval(params: SshParams, two_mu: int, x: SpherePoint) -> complex:
     return _prefactor(params) * cmath.exp(0.5j * two_mu * x.phi) * d
 
 
+def ssh_rings(params: SshParams, thetas) -> np.ndarray:
+    """Every harmonic of the family at phi = 0 on each polar angle of an
+    array, shape (n, dim) with mu ascending along a row.
+
+    On a ring of constant theta, Y_mu(theta, phi) = Y_mu(theta, 0)
+    exp(i mu phi), so these rows are all a product grid needs.  One batched
+    D-column product (:func:`fuzzsphere.wigner.wigner_D_columns`) serves
+    every angle; a row at theta = 0 is exactly the identity column times the
+    prefactor.
+    """
+    thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    d = wigner_D_columns(params.two_j, params.two_sigma, thetas / 2, 0.0, math.pi / 2)
+    return _prefactor(params) * d
+
+
 def ssh_column(params: SshParams, x: SpherePoint) -> np.ndarray:
-    """Every harmonic of the family at x, mu ascending, from one D column."""
-    tj, ts = params.two_j, params.two_sigma
-    d = wigner_D_column(tj, ts, Su2Element(x.theta / 2, 0.0, math.pi / 2))
-    return _prefactor(params) * np.exp(0.5j * x.phi * np.arange(-tj, tj + 1, 2)) * d
+    """Every harmonic of the family at x, mu ascending: the one-ring case of
+    :func:`ssh_rings` times exp(i mu phi)."""
+    twice_mu = np.arange(-params.two_j, params.two_j + 1, 2)
+    return ssh_rings(params, (x.theta,))[0] * np.exp(0.5j * x.phi * twice_mu)
 
 
 def lambda_plus(params: SshParams) -> OperatorMatrix:

@@ -51,6 +51,7 @@ __all__ = [
     "D_MATRIX_MAX_TWO_J",
     "wigner_D",
     "wigner_D_column",
+    "wigner_D_columns",
     "wigner_D_matrix",
     "wigner_D_sum",
     "su2_from_rotation",
@@ -333,17 +334,32 @@ def wigner_D(two_j: int, two_m1: int, two_m2: int, xi: Su2Element) -> complex:
     return cmath.exp(-0.5j * phase) * middle
 
 
-def wigner_D_column(two_j: int, two_m2: int, xi: Su2Element) -> np.ndarray:
-    """Column m2 of D^j(xi), m1 ascending, in O(4j^2) work."""
+def wigner_D_columns(
+    two_j: int, two_m2: int, omegas, psi1: float = 0.0, psi2: float = 0.0
+) -> np.ndarray:
+    """Column m2 of D^j(omega_n, psi1, psi2) for every omega_n of an array,
+    shape (n, 2j+1) with m1 ascending along a row.
+
+    One real product against the memoized eigenbasis serves all n rows
+    (O(n (2j)^2) work); a row with omega_n = 0 is exactly the identity
+    column times its psi phases.
+    """
     c = _index(two_j, two_m2)
     o, twice_m = _lambda1_eigenbasis(two_j)
-    if xi.omega == 0.0:
-        middle = np.zeros(two_j + 1, dtype=complex)
-        middle[c] = 1.0
-    else:
-        right = o[c] * np.exp(-1j * xi.omega * twice_m)
-        middle = o @ right.real + 1j * (o @ right.imag)
-    return middle * np.exp(-0.5j * ((xi.psi1 + xi.psi2) * twice_m + two_m2 * (xi.psi1 - xi.psi2)))
+    omegas = np.asarray(omegas, dtype=float).reshape(-1)
+    right = o[c] * np.exp(-1j * omegas[:, None] * twice_m)
+    middle = right.real @ o.T + 1j * (right.imag @ o.T)
+    pole = omegas == 0.0
+    if pole.any():
+        middle[pole] = 0.0
+        middle[pole, c] = 1.0
+    return middle * np.exp(-0.5j * ((psi1 + psi2) * twice_m + two_m2 * (psi1 - psi2)))
+
+
+def wigner_D_column(two_j: int, two_m2: int, xi: Su2Element) -> np.ndarray:
+    """Column m2 of D^j(xi), m1 ascending: the one-element case of
+    :func:`wigner_D_columns`."""
+    return wigner_D_columns(two_j, two_m2, (xi.omega,), xi.psi1, xi.psi2)[0]
 
 
 def wigner_D_matrix(two_j: int, xi: Su2Element) -> np.ndarray:

@@ -264,6 +264,36 @@ def test_fuzzy_compare_cli(capsys):
     assert out.count("ell=") == 3
 
 
+@pytest.mark.parametrize("two_j, two_sigma", [(3, 1), (4, -2), (6, 4)])
+def test_fuzzy_compare_agrees_with_the_fuzzy_check(capsys, monkeypatch, two_j, two_sigma):
+    from fuzzsphere import cli
+    from fuzzsphere.fuzzy import FuzzyParams
+
+    def both():
+        code, out, _ = run(
+            capsys, "fuzzy-compare", "--two-j", str(two_j), "--two-sigma", str(two_sigma)
+        )
+        residuals = cli._fuzzy_residuals(FuzzyParams(two_j, two_sigma), range(two_j + 1))
+        spreads = [float(v) for v in re.findall(r"spread=(\S+)", out)]
+        devs = [float(v) for v in re.findall(r"closed_dev=(\S+)", out)]
+        assert len(spreads) == len(devs) == two_j + 1
+        assert max(spreads) == float(f"{residuals[0][1]:.3e}")
+        assert max(devs) == float(f"{residuals[1][1]:.3e}")
+        return code, all(residual <= tol for _, residual, tol in residuals)
+
+    assert both() == (0, True)
+    # Push one ratio past the fuzzy check's tolerances: both fail together.
+    ratios = cli.empirical_ratios
+
+    def skewed(fp, ell):
+        out = list(ratios(fp, ell))
+        out[-1] += 5e-8 if ell == 1 else 0.0
+        return out
+
+    monkeypatch.setattr(cli, "empirical_ratios", skewed)
+    assert both() == (1, False)
+
+
 def test_fuzzy_compare_past_hat_map_range_exits_2(capsys):
     code, out, err = run(capsys, "fuzzy-compare", "--two-j", "29", "--two-sigma", "1")
     assert code == 2
@@ -294,13 +324,26 @@ def test_verify_reports_three_j_cache_on_stderr(capsys):
     code, out, err = run(capsys, "verify", "--two-j-max", "1")
     assert code == 0
     assert "3j" not in out
+    *timings, last = err.splitlines(keepends=True)
+    assert all(re.fullmatch(r"check=\S+ wall_s=\d+\.\d{3}\n", ln) for ln in timings), err
     summary = re.fullmatch(
         r"(\d+)/\1 checks passed; 3j cache (\d+) entries, (\d+) hits, (\d+) misses\n",
-        err,
+        last,
     )
     assert summary, err
     entries, hits, misses = map(int, summary.groups()[1:])
     assert entries == misses > 0 and hits > 0
+
+
+def test_verify_times_each_check_on_stderr(capsys):
+    from fuzzsphere.cli import SUITES
+
+    code, out, err = run(capsys, "verify", "--two-j-max", "1")
+    assert code == 0 and "wall_s" not in out
+    timed = re.findall(r"^check=(\S+) wall_s=(\d+\.\d{3})$", err, re.MULTILINE)
+    assert [name for name, _ in timed] == SUITES["default"]
+    code, out, err = run(capsys, "verify", "--suite", "fock")
+    assert re.findall(r"^check=(\S+) wall_s=", err, re.MULTILINE) == ["fock"]
 
 
 def test_verify_tolerance_override_can_fail(capsys):

@@ -1,6 +1,5 @@
 """Coherent-state quantization tests: both pipelines and their agreement."""
 
-import cmath
 import math
 
 import numpy as np
@@ -117,16 +116,16 @@ def test_kernel_reproducing_property():
 def test_resolution_of_identity():
     for tj, ts in spin_pairs(6):
         p = SshParams(tj, ts)
-        a = quantize_quadrature(p, lambda x: 1.0)
+        a = quantize_quadrature(p, lambda theta, phi: 1.0)
         assert a.max_abs_diff(OperatorMatrix.identity(tj)) < 1e-12
         assert a.hermitian
 
 
 def test_cartesian_identification_and_degeneracy():
     fns = [
-        lambda x: x.unit_vector()[0],
-        lambda x: x.unit_vector()[1],
-        lambda x: math.cos(x.theta),
+        lambda theta, phi: np.sin(theta) * np.cos(phi),
+        lambda theta, phi: np.sin(theta) * np.sin(phi),
+        lambda theta, phi: np.cos(theta),
     ]
     for tj, ts in spin_pairs(6):
         if tj == 0:
@@ -144,7 +143,7 @@ def test_cartesian_identification_and_degeneracy():
 
 def test_quantize_x3_spin1_diagonal():
     # At 2j = 2 sigma = 2: K = 1/2 and Lambda_3 = diag(-1, 0, 1).
-    a = quantize_quadrature(SshParams(2, 2), lambda x: math.cos(x.theta))
+    a = quantize_quadrature(SshParams(2, 2), lambda theta, phi: np.cos(theta))
     assert np.abs(np.diag(a.entries) - np.array([-0.5, 0.0, 0.5])).max() < 1e-11
     assert np.abs(a.entries - np.diag(np.diag(a.entries))).max() < 1e-12
 
@@ -152,23 +151,27 @@ def test_quantize_x3_spin1_diagonal():
 def test_hermiticity_for_real_and_conjugation_for_complex():
     p = SshParams(4, 2)
     grid = SphereGrid.auto(4, 3, p.phi_period)
-    real_f = lambda x: math.sin(x.theta) ** 2 * math.cos(x.phi)
+    real_f = lambda theta, phi: np.sin(theta) ** 2 * np.cos(phi)
     raw = quantize_quadrature(p, real_f, grid, hermitize=False)
     assert raw.hermiticity_residual() < 1e-12
     assert quantize_quadrature(p, real_f, grid).hermitian
 
-    cplx = lambda x: cmath.exp(1j * x.phi) * math.sin(x.theta)
+    cplx = lambda theta, phi: np.exp(1j * phi) * np.sin(theta)
     a_f = quantize_quadrature(p, cplx, grid, hermitize=False)
-    a_fbar = quantize_quadrature(p, lambda x: cplx(x).conjugate(), grid, hermitize=False)
+    assert not quantize_quadrature(p, cplx, grid).hermitian
+    a_fbar = quantize_quadrature(
+        p, lambda theta, phi: cplx(theta, phi).conjugate(), grid, hermitize=False
+    )
     assert a_fbar.max_abs_diff(a_f.dagger()) < 1e-13
 
 
 def brute_force_quadrature(params, f, grid):
-    """Reference frame integral: every harmonic sampled at every node by the
-    full evaluator (no phi separability), one exact sum per entry."""
+    """Reference frame integral: f called at one node at a time, every
+    harmonic sampled at every node by the full evaluator (no phi
+    separability), one exact sum per entry."""
     points, weights = grid.nodes_and_weights()
     samples = [[ssh_eval(params, tmu, x) for tmu in params.projections()] for x in points]
-    fvals = [complex(f(x)) for x in points]
+    fvals = [complex(f(x.theta, x.phi)) for x in points]
     out = np.empty((params.dim, params.dim), dtype=complex)
     for r in range(params.dim):
         for c in range(params.dim):
@@ -186,8 +189,8 @@ def test_separable_quadrature_matches_brute_force_double_cover():
     p = SshParams(7, 3, psi=0.7)
     grid = SphereGrid.auto(7, 7, p.phi_period)
     # matrix entries see only integer phi frequencies (mu - nu is an integer)
-    f = lambda x: math.cos(x.theta) + math.sin(x.theta) * (
-        0.3 * math.cos(x.phi) + 0.2 * math.sin(x.phi) + 0.1 * math.sin(2 * x.phi)
+    f = lambda theta, phi: np.cos(theta) + np.sin(theta) * (
+        0.3 * np.cos(phi) + 0.2 * np.sin(phi) + 0.1 * np.sin(2 * phi)
     )
     fast = quantize_quadrature(p, f, grid, hermitize=False)
     assert np.abs(fast.entries - brute_force_quadrature(p, f, grid)).max() <= 1e-13
@@ -203,19 +206,91 @@ def test_separable_quadrature_matches_brute_force_complex_f():
 
 
 def test_quadrature_bitwise_reproducible():
+    from fuzzsphere import csquant, wigner
+
     p = SshParams(5, 1, psi=0.3)
-    f = lambda x: cmath.exp(0.5j * x.phi) * math.sin(x.theta) + math.cos(x.theta) ** 2
+    f = lambda theta, phi: np.exp(0.5j * phi) * np.sin(theta) + np.cos(theta) ** 2
     first = quantize_quadrature(p, f, hermitize=False)
-    SphereGrid.nodes_and_weights.cache_clear()
+    for cached in (
+        SphereGrid.rings, SphereGrid.nodes_and_weights,
+        csquant._ring_basis, wigner._lambda1_eigenbasis,
+    ):
+        cached.cache_clear()
     second = quantize_quadrature(p, f, hermitize=False)
-    assert np.array_equal(first.entries, second.entries)
+    assert first.entries.tobytes() == second.entries.tobytes()
+
+
+def test_quadrature_bitwise_reproducible_across_processes():
+    import hashlib
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import hashlib, numpy as np\n"
+        "from fuzzsphere.csquant import HarmonicExpansion, quantize_quadrature\n"
+        "from fuzzsphere.ssh import SshParams\n"
+        "f = HarmonicExpansion({(2, 1): 1.0, (3, -2): 0.5 - 0.25j}).evaluate\n"
+        "m = quantize_quadrature(SshParams(7, -3, psi=0.9), f)\n"
+        "print(hashlib.sha256(m.entries.tobytes()).hexdigest())\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    f = HarmonicExpansion({(2, 1): 1.0, (3, -2): 0.5 - 0.25j}).evaluate
+    here = quantize_quadrature(SshParams(7, -3, psi=0.9), f)
+    assert child.stdout.strip() == hashlib.sha256(here.entries.tobytes()).hexdigest()
+
+
+def test_ring_quadrature_matches_brute_force_half_integer_complex_f():
+    # Half-integer spin on the double cover, psi != 0, and a complex f with
+    # a half-integer phi frequency, which only the 4 pi period admits.
+    p = SshParams(5, -3, psi=0.4)
+    grid = SphereGrid.auto(5, 5, p.phi_period)
+    f = lambda theta, phi: (
+        np.exp(0.5j * phi) * np.sin(theta)
+        + (0.3 - 0.2j) * np.cos(theta) ** 2
+        + 0.1j * np.exp(-2j * phi) * np.sin(theta) ** 2
+    )
+    fast = quantize_quadrature(p, f, grid, hermitize=False)
+    assert not fast.hermitian
+    assert np.abs(fast.entries - brute_force_quadrature(p, f, grid)).max() <= 1e-13
+
+
+def test_quadrature_calls_f_once_on_the_ring_grid():
+    p = SshParams(3, 1)
+    grid = SphereGrid(5, 9, p.phi_period)
+    calls = []
+
+    def f(theta, phi):
+        calls.append((theta.shape, phi.shape))
+        return np.cos(theta)  # broadcast along phi by quantize_quadrature
+
+    quantize_quadrature(p, f, grid)
+    assert calls == [((5, 1), (1, 9))]
+
+
+def test_quadrature_calls_no_three_j(monkeypatch):
+    from fuzzsphere import wigner
+
+    def refuse(*args):
+        raise AssertionError("route 1 must not use a 3j-symbol")
+
+    monkeypatch.setattr(wigner, "three_j_twice", refuse)
+    monkeypatch.setattr(wigner, "three_j", refuse)
+    p = SshParams(4, 2)
+    f = HarmonicExpansion({(2, -1): 1.0, (1, 0): 0.5}).evaluate
+    quantize_quadrature(p, f)
+    quantize_ssh_general(p, 2, 4, 2)
 
 
 def test_quadrature_non_finite_sample_names_node():
     p = SshParams(2, 2)
     grid = SphereGrid(4, 5)
     bad = grid.nodes_and_weights()[0][7]
-    f = lambda x: float("nan") if x == bad else 1.0
+    f = lambda theta, phi: np.where((theta == bad.theta) & (phi == bad.phi), np.nan, 1.0)
     with pytest.raises(ValueError, match=rf"node 7 \(theta={bad.theta!r}, phi={bad.phi!r}\)"):
         quantize_quadrature(p, f, grid)
 
@@ -313,7 +388,15 @@ def test_builtin_expansions_evaluate_to_coordinates():
         f = HarmonicExpansion.builtin(name)
         for _ in range(4):
             x = random_point(p)
-            assert f.evaluate(x) == pytest.approx(x.unit_vector()[pick], abs=1e-13)
+            value = complex(f.evaluate(x.theta, x.phi))
+            assert value == pytest.approx(x.unit_vector()[pick], abs=1e-13)
+        # arrays broadcast; each point agrees with the scalar call
+        theta, phi = np.array([[0.0], [0.4], [math.pi]]), np.array([[0.3, 2.0]])
+        grid_values = f.evaluate(theta, phi)
+        assert grid_values.shape == (3, 2)
+        for k, i in np.ndindex(3, 2):
+            want = complex(f.evaluate(theta[k, 0], phi[0, i]))
+            assert abs(grid_values[k, i] - want) < 1e-15
     with pytest.raises(ValueError):
         HarmonicExpansion.builtin("x4")
 
@@ -372,14 +455,14 @@ def test_upper_symbol_reconstruction():
     # quantized operator: f is an upper symbol of A_f.
     p = SshParams(2, 2)
     grid = SphereGrid.auto(2, 2, p.phi_period)
-    f = lambda x: math.cos(x.theta) ** 2
+    f = lambda theta, phi: np.cos(theta) ** 2
     pts, ws = grid.nodes_and_weights()
     dim = p.dim
     acc = np.zeros((dim, dim), dtype=complex)
     n_const = normalization_constant(p)
     for x, w in zip(pts, ws):
         c = coherent_state(p, x).amplitudes
-        acc += FOUR_PI * w * n_const * f(x) * np.outer(c, c.conj())
+        acc += FOUR_PI * w * n_const * f(x.theta, x.phi) * np.outer(c, c.conj())
     direct = quantize_quadrature(p, f, grid, hermitize=False)
     assert np.abs(acc - direct.entries).max() < 1e-12
 

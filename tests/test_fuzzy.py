@@ -477,6 +477,28 @@ def test_classical_limit_symbol_deviation_shrinks():
     assert devs[-1] < devs[0]
 
 
+def test_classical_limit_symbols_match_coherent_states():
+    # The ring-sampled symbols agree with <x| K Lambda_3 |x> from coherent
+    # states, at the pole and across the meridian.
+    from fuzzsphere.csquant import cartesian_factor, lower_symbol
+
+    for offset, tj in ((0, 6), (2, 7), (4, 12)):
+        row = classical_limit_report(offset, [tj], 1.0)[0]
+        p = SshParams(tj, tj - offset)
+        x3 = lambda_matrices(p)[2].scaled(cartesian_factor(p))
+        target = ((tj - offset) / 2) / (tj / 2 + 1)
+        dev = max(
+            abs(lower_symbol(p, x3, SpherePoint(float(t), 0.0)).real - target * math.cos(t))
+            for t in np.linspace(0.0, math.pi, 181)
+        )
+        assert abs(row["symbol_deviation"] - dev) < 1e-15
+    # sigma = j: the symbol is exactly (sigma / (j + 1)) cos(theta) up to rounding
+    assert all(
+        row["symbol_deviation"] < 4e-15
+        for row in classical_limit_report(0, list(range(2, 17, 2)), 1.0)
+    )
+
+
 def test_classical_limit_validation():
     with pytest.raises(ValueError):
         classical_limit_report(1, [2], 1.0)  # non-integer offset

@@ -11,6 +11,7 @@ from fuzzsphere.quad import (
     SpherePoint,
     integrate_plane,
     integrate_sphere,
+    ring_gram,
     weighted_gram,
 )
 from fuzzsphere.ssh import SshParams, ssh_eval
@@ -184,3 +185,36 @@ def test_sphere_point_round_trip():
     q = SpherePoint.from_unit_vector(p.unit_vector())
     assert q.theta == pytest.approx(p.theta, abs=1e-14)
     assert q.phi == pytest.approx(p.phi, abs=1e-14)
+
+
+def test_rings_are_the_node_construction():
+    for grid in (SphereGrid(5, 8), SphereGrid(4, 7, FOUR_PI)):
+        rings = grid.rings()
+        points, weights = grid.nodes_and_weights()
+        assert [(x.theta, x.phi) for x in points] == [
+            (t, p) for t in rings.theta.tolist() for p in rings.phi.tolist()
+        ]
+        assert list(weights) == [w for w in rings.weight.tolist() for _ in range(grid.n_phi)]
+        assert np.all(np.diff(np.cos(rings.theta)) > 0)
+        for arr in rings:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert grid.rings() is rings
+
+
+def test_ring_gram_matches_weighted_gram_over_nodes():
+    # A basis whose column r carries exp(i (r + s) phi) with half-integer s,
+    # as on the double cover, and a complex integrand with no symmetry.
+    rng = np.random.default_rng(5)
+    grid = SphereGrid(6, 11, FOUR_PI)
+    rings = grid.rings()
+    dim = 4
+    basis = rng.normal(size=(6, dim)) + 1j * rng.normal(size=(6, dim))
+    samples = rng.normal(size=(6, 11)) + 1j * rng.normal(size=(6, 11))
+    freqs = np.arange(dim) - 1.5
+    nodes = (basis[:, None, :] * np.exp(1j * rings.phi[None, :, None] * freqs)).reshape(-1, dim)
+    _, weights = grid.nodes_and_weights()
+    want = weighted_gram(nodes, np.array(weights) * samples.reshape(-1))
+    got = ring_gram(basis, samples, rings)
+    assert np.abs(got - want).max() < 1e-15
+    assert got.tobytes() == ring_gram(basis, samples, rings).tobytes()

@@ -20,6 +20,7 @@ from fuzzsphere.ssh import (
     ssh_column,
     ssh_conjugation_check,
     ssh_eval,
+    ssh_rings,
 )
 from fuzzsphere.wigner import (
     D_MATRIX_MAX_TWO_J,
@@ -184,6 +185,38 @@ def test_ssh_column_matches_entries():
             col = ssh_column(p, x)
             want = [ssh_eval(p, tmu, x) for tmu in p.projections()]
             assert np.abs(col - want).max() < 1e-14
+
+
+def test_ssh_rings_match_column_and_entries():
+    thetas = np.concatenate([[0.0, math.pi], RNG.uniform(0.0, math.pi, 5)])
+    for tj in range(0, 13):
+        for ts in {tj, -tj, tj % 2, -(tj % 2)}:
+            p = SshParams(tj, ts, psi=0.7)
+            rings = ssh_rings(p, thetas)
+            assert rings.shape == (len(thetas), p.dim)
+            for theta, row in zip(thetas, rings):
+                x = SpherePoint(float(theta), 0.0)
+                assert np.abs(row - ssh_column(p, x)).max() < 1e-15
+                want = [ssh_eval(p, tmu, x) for tmu in p.projections()]
+                assert np.abs(row - want).max() < 1e-14, (tj, ts, theta)
+
+
+def test_ssh_rings_exact_identity_column_at_north_pole():
+    for tj, ts in ((0, 0), (1, -1), (6, 2), (9, -3), (12, 12)):
+        p = SshParams(tj, ts, psi=1.3)
+        row = ssh_rings(p, [0.0, 0.5])[0]
+        # Y_mu(0, phi) = prefactor delta_{mu sigma}, with exact zeros elsewhere
+        pole = ssh_eval(p, ts, SpherePoint(0.0, 0.0))
+        want = np.zeros(p.dim, dtype=complex)
+        want[(ts + tj) // 2] = pole
+        assert np.array_equal(row, want)
+
+
+def test_ssh_rings_refuse_past_working_range():
+    top = D_MATRIX_MAX_TWO_J
+    for tj in (top + 1, top + 2):
+        with pytest.raises(ValueError, match=str(top)):
+            ssh_rings(SshParams(tj, tj % 2), [0.0, 1.0])
 
 
 def test_ssh_properties_over_working_range():

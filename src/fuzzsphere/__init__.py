@@ -33,7 +33,7 @@ from .fuzzy import (
     symmetrization_commutator_check,
     ylm_as_polynomial,
 )
-from .quad import PlaneGrid, SphereGrid, SpherePoint, integrate_plane, integrate_sphere
+from .quad import PlaneGrid, SphereGrid, SpherePoint, integrate_sphere
 from .specfun import JacobiParams, jacobi
 from .ssh import (
     OperatorMatrix,

@@ -12,7 +12,6 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,10 +34,10 @@ from .fuzzy import (
     symmetrization_commutator_check,
 )
 from .quad import SphereGrid, SpherePoint
-from .ssh import OperatorMatrix, SshParams, lambda_matrices, ssh_eval
+from .ssh import OperatorMatrix, SshParams, lambda_matrices, ssh_eval, ssh_rings
 from .wigner import three_j_cache_info, three_j_twice
 
-__all__ = ["main", "RunConfig", "save_matrix", "load_matrix", "run_checks", "ALL_CHECKS"]
+__all__ = ["main", "save_matrix", "load_matrix", "run_checks", "ALL_CHECKS"]
 
 
 def _fmt(x: float) -> str:
@@ -47,37 +46,6 @@ def _fmt(x: float) -> str:
 
 def _fmt_complex(z: complex) -> str:
     return f"{_fmt(z.real)}{'+' if z.imag >= 0 else '-'}{_fmt(abs(z.imag))}j"
-
-
-@dataclass
-class RunConfig:
-    """Validated bundle of the common command parameters."""
-
-    two_j: int
-    two_sigma: int
-    psi: float = 0.0
-    n_theta: int | None = None
-    n_phi: int | None = None
-    output: Path | None = None
-    fmt: str = "json"
-
-    def __post_init__(self) -> None:
-        SshParams(self.two_j, self.two_sigma, self.psi)
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
-
-    def ssh_params(self) -> SshParams:
-        return SshParams(self.two_j, self.two_sigma, self.psi)
-
-    def grid(self, ell_max: int | None = None) -> SphereGrid:
-        params = self.ssh_params()
-        band = max(self.two_j, ell_max or 0)
-        auto = SphereGrid.auto(self.two_j, band, params.phi_period)
-        return SphereGrid(
-            auto.n_theta if self.n_theta is None else self.n_theta,
-            auto.n_phi if self.n_phi is None else self.n_phi,
-            params.phi_period,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -217,19 +185,15 @@ def _parse_expansion(args) -> tuple[HarmonicExpansion, str | None]:
 
 
 def _cmd_quantize(args) -> int:
-    config = RunConfig(
-        two_j=args.two_j,
-        two_sigma=args.two_sigma,
-        psi=args.psi,
-        n_theta=args.n_theta,
-        n_phi=args.n_phi,
-        output=Path(args.output) if args.output else None,
-        fmt=args.format,
-    )
+    params = SshParams(args.two_j, args.two_sigma, args.psi)
     expansion, builtin = _parse_expansion(args)
-    params = config.ssh_params()
     ell_max = max((ell for ell, _ in expansion.terms), default=0)
-    grid = config.grid(ell_max)
+    auto = SphereGrid.auto(args.two_j, max(args.two_j, ell_max), params.phi_period)
+    grid = SphereGrid(
+        auto.n_theta if args.n_theta is None else args.n_theta,
+        auto.n_phi if args.n_phi is None else args.n_phi,
+        params.phi_period,
+    )
 
     closed = quantize_expansion(params, expansion)
     raw = quantize_quadrature(params, expansion.evaluate, grid, hermitize=False)
@@ -238,22 +202,22 @@ def _cmd_quantize(args) -> int:
     for ell, m, coeff in closed.truncated:
         print(f"truncated=ell:{ell},m:{m},coeff:{_fmt_complex(complex(coeff))}")
 
-    degenerate = builtin is not None and config.two_sigma == 0
+    degenerate = builtin is not None and args.two_sigma == 0
     # symmetrize only genuinely Hermitian results (real observables)
     matrix = raw.hermitized() if residual < 1e-12 else raw
     if degenerate:
         print("degenerate: quantization vanishes", file=sys.stderr)
         print(f"degenerate_max_abs={raw.max_abs():.17g}")
-        matrix = OperatorMatrix.zeros(config.two_j)
+        matrix = OperatorMatrix.zeros(args.two_j)
     elif builtin is not None:
         lam = {"x1": 0, "x2": 1, "x3": 2, "cos_theta": 2}[builtin]
         target = lambda_matrices(params)[lam].scaled(cartesian_factor(params))
         print(f"deviation_from_k_lambda={matrix.max_abs_diff(target):.17g}")
     print(f"closed_form_deviation={matrix.max_abs_diff(closed.matrix):.17g}")
 
-    if config.output is not None:
-        save_matrix(matrix, config.output, config.fmt, config.two_sigma)
-        print(f"wrote={config.output}")
+    if args.output:
+        save_matrix(matrix, Path(args.output), args.format, args.two_sigma)
+        print(f"wrote={args.output}")
     return 0
 
 
@@ -511,22 +475,21 @@ def _ssh_pointwise(p: SshParams, rng):
     from .ssh import half_power_of_minus_one
     from .wigner import Su2Element, wigner_D_sum
 
-    with_oracle = p.two_j <= _SPANS["ssh_two_closed_forms"]
-    norm = half_power_of_minus_one(p.two_sigma) * math.sqrt((p.two_j + 1) / (4 * math.pi))
-    worst_sum = 0.0
+    # (theta, phi) per point, drawn in that order
+    points = rng.uniform((0.0, 0.0), (math.pi, p.phi_period), size=(100, 2))
+    twice_mu = np.arange(-p.two_j, p.two_j + 1, 2)
+    values = ssh_rings(p, points[:, 0]) * np.exp(0.5j * points[:, 1:] * twice_mu)
+    total = np.sum(np.abs(values) ** 2, axis=1)
+    worst_sum = float(np.max(np.abs(total - (p.two_j + 1) / (4 * math.pi))))
     worst_forms = 0.0
-    for _ in range(100):
-        x = SpherePoint(rng.uniform(0, math.pi), rng.uniform(0, p.phi_period))
-        values = [ssh_eval(p, tmu, x) for tmu in p.projections()]
-        total = sum(abs(v) ** 2 for v in values)
-        worst_sum = max(worst_sum, abs(total - (p.two_j + 1) / (4 * math.pi)))
-        if not with_oracle:
-            continue
-        # The same harmonic from the explicit-sum D entry (psi = 0).
-        xi = Su2Element(x.theta / 2, 0.0, math.pi / 2)
-        for tmu, v in zip(p.projections(), values):
-            d = wigner_D_sum(p.two_j, tmu, p.two_sigma, xi)
-            worst_forms = max(worst_forms, abs(v - norm * np.exp(0.5j * tmu * x.phi) * d))
+    if p.two_j <= _SPANS["ssh_two_closed_forms"]:
+        # The same harmonics from the explicit-sum D entries (psi = 0).
+        norm = half_power_of_minus_one(p.two_sigma) * math.sqrt((p.two_j + 1) / (4 * math.pi))
+        for (theta, phi), row in zip(points.tolist(), values):
+            xi = Su2Element(theta / 2, 0.0, math.pi / 2)
+            oracle = [wigner_D_sum(p.two_j, tmu, p.two_sigma, xi) for tmu in twice_mu.tolist()]
+            phases = np.exp(0.5j * twice_mu * phi)
+            worst_forms = max(worst_forms, float(np.max(np.abs(row - norm * phases * oracle))))
     return [
         ("ssh_sum_rule", worst_sum, 1e-11),
         ("ssh_two_closed_forms", worst_forms, 1e-12),
@@ -541,11 +504,15 @@ def _check_ssh(two_j_max: int):
     pointwise = _worst_of([_ssh_pointwise(p, rng) for p in params])
     worst_orth = 0.0
     for p in params:
-        # Full (non-separable) samples at every node: this cross-checks the
-        # phi factorization that quantize_quadrature relies on.
-        points, weights = SphereGrid.auto(p.two_j, 0, p.phi_period).nodes_and_weights()
-        basis = [[ssh_eval(p, tmu, x) for tmu in p.projections()] for x in points]
-        gram = 4 * math.pi * weighted_gram(np.array(basis), np.array(weights))
+        # Full (non-separable) samples at every node, ring-major as in
+        # SphereGrid.nodes_and_weights: this cross-checks the phi
+        # factorization that quantize_quadrature relies on.
+        rings = SphereGrid.auto(p.two_j, 0, p.phi_period).rings()
+        twice_mu = np.arange(-p.two_j, p.two_j + 1, 2)
+        phases = np.exp(0.5j * rings.phi[:, None] * twice_mu)
+        basis = (ssh_rings(p, rings.theta)[:, None, :] * phases).reshape(-1, p.dim)
+        weights = np.repeat(rings.weight, len(rings.phi))
+        gram = 4 * math.pi * weighted_gram(basis, weights)
         worst_orth = max(worst_orth, float(np.abs(gram - np.eye(p.dim)).max()))
     return pointwise + [("ssh_orthonormality", worst_orth, 1e-11)]
 

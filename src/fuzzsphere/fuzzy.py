@@ -6,14 +6,31 @@ hatted harmonics are compared against the coherent-state quantized ones
 through the single ell-dependent constant that relates them (Madore,
 Class. Quantum Grav. 9 (1992) 69).
 
-Symmetrized monomials come from the first-factor recurrence
+Harmonics are written in Racah's solid-harmonic form,
+
+    r^l Y_lm = sqrt((2l+1)/(4 pi)) sqrt((l+m)! (l-m)!)
+               sum_{p-q=m, p+q+s=l} (-x+/2)^p (x-/2)^q x3^s / (p! q! s!),
+
+with x+- = x1 +- i x2.  Symmetrization is multilinear, and summing every
+ordering of L+^p L-^q L3^s over p - q = m is band m of one matrix power:
+
+    hat(Y_lm) = sqrt((2l+1)/(4 pi)) kappa^l sqrt((l+m)! (l-m)!) / l!
+                band_m(M^l),   M = L3 + (L- - L+)/2.
+
+With S = diag(s_r), s_(r+1) = s_r sqrt(f(r)) and f(r) = (2j - r)(r + 1),
+S^-1 (2M) S is an integer tridiagonal matrix, so :func:`hat_ylm` reads each
+entry from exact integers and needs no symmetrized monomial;
+:func:`ylm_as_polynomial` expands the same sum into Cartesian monomials.
+
+The generic :func:`hat_map` of an arbitrary polynomial symmetrizes
+Cartesian monomials from the first-factor recurrence
 T(a,b,c) = L1 T(a-1,b,c) + L2 T(a,b-1,c) + L3 T(a,b,c-1), T(0,0,0) = 1,
 with Sym(L1^a L2^b L3^c) = a! b! c! / n! T(a,b,c) for n = a+b+c.  It is run
 in that normalized form, n Sym(a,b,c) = a L1 Sym(a-1,b,c) + b L2 Sym(a,b-1,c)
 + c L3 Sym(a,b,c-1), so entries stay of order j^n.  Every monomial up to
 degree n costs O(n^3) matrix products.  The generators depend on 2j alone,
 so one table per 2j, extended to the highest degree requested so far and
-kept for a few spins, serves every sigma and harmonic.
+kept for a few spins, serves every sigma and polynomial.
 """
 
 from __future__ import annotations
@@ -196,10 +213,11 @@ def sym_monomial(two_j: int, exponents: tuple[int, int, int]) -> OperatorMatrix:
     return OperatorMatrix(two_j, _generator_table(two_j).get(exponents))
 
 
-# Largest 2j at which hatted and quantized harmonics still agree through
-# one constant per ell to within the comparison's 1e-9: the worst m-spread
-# of their ratio over all ell is 8.0e-10 at 2j=28 (2 sigma = 2), but 1.1e-9
-# at 2j=29 (2 sigma = 1), 3.1e-9 at 30 and 3.8e-9 at 31, growing about
+# Largest 2j at which the generic hat_map still agrees with the exact band
+# form of hat_ylm to within the fuzzy comparison's 1e-9: symmetrized
+# Cartesian monomials cancel, and the worst m-spread of the quantized/hatted
+# ratio over all ell through hat_map is 8.0e-10 at 2j=28 (2 sigma = 2), but
+# 1.1e-9 at 2j=29 (2 sigma = 1), 3.1e-9 at 30 and 3.8e-9 at 31, growing about
 # tenfold per 4 in 2j.  The generator table also takes 114 MB at 2j=32.
 HAT_MAP_MAX_TWO_J = 28
 
@@ -229,32 +247,12 @@ def hat_map(params: FuzzyParams, poly: list[Monomial3]) -> HatResult:
     return HatResult(total, tuple(dropped))
 
 
-def _legendre_coefficients(ell: int) -> list[Fraction]:
-    """coeffs[p] of z^p in the Legendre polynomial of degree ell, exact."""
-    coeffs = [Fraction(0)] * (ell + 1)
-    for k in range(ell // 2 + 1):
-        p = ell - 2 * k
-        coeffs[p] = Fraction(
-            (-1) ** k * math.comb(ell, k) * math.comb(2 * ell - 2 * k, ell),
-            2**ell,
-        )
-    return coeffs
-
-
-_I_POWERS = (
-    (Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(1)),
-    (Fraction(-1), Fraction(0)),
-    (Fraction(0), Fraction(-1)),
-)
-
-
 def ylm_as_polynomial(ell: int, m: int) -> list[Monomial3]:
     """Harmonic homogeneous degree-ell polynomial equal to Y_lm on the sphere.
 
-    Built exactly: rational Legendre-derivative coefficients, the binomial
-    expansion of (x1 + i x2)^m, and multinomial padding by powers of
-    (x1^2 + x2^2 + x3^2); a single irrational normalization scales all
+    Built exactly from Racah's solid-harmonic sum (module docstring) with
+    x+- = x1 +- i x2 expanded binomially, so every coefficient is a rational
+    times a power of i; a single irrational normalization scales all
     monomials at the end.  The build is memoized per (ell, m); each call
     returns a fresh list of the shared frozen monomials.
     """
@@ -267,62 +265,94 @@ def ylm_as_polynomial(ell: int, m: int) -> list[Monomial3]:
 @functools.lru_cache(maxsize=512)
 def _ylm_monomials(ell: int, m: int) -> tuple[Monomial3, ...]:
     mm = abs(m)
-    leg = _legendre_coefficients(ell)
-    # m-th derivative of the Legendre polynomial, exact rationals.
-    deriv: dict[int, Fraction] = {}
-    for p in range(mm, ell + 1):
-        if leg[p] == 0:
-            continue
-        fall = Fraction(1)
-        for i in range(mm):
-            fall *= p - i
-        deriv[p - mm] = leg[p] * fall
+    # Y_lm = norm * sum of the rationals below times i^b x1^a x2^b x3^s,
+    # with the Condon-Shortley (-1)^m kept in front for m >= 0.
+    front = parity_sign(m) if m >= 0 else 1
+    acc: dict[tuple[int, int, int], Fraction] = {}
+    for q in range(max(0, -m), (ell - m) // 2 + 1):
+        p, s = q + m, ell - m - 2 * q
+        # (-x+/2)^p (x-/2)^q x3^s / (p! q! s!), scaled by (ell + |m|)!
+        c = Fraction(
+            front * parity_sign(p) * factorial(ell + mm),
+            2 ** (p + q) * factorial(p) * factorial(q) * factorial(s),
+        )
+        # x+^p x-^q = sum C(p, u) C(q, v) (-1)^v i^(u+v) x1^(p+q-u-v) x2^(u+v)
+        for u in range(p + 1):
+            for v in range(q + 1):
+                key = (p + q - u - v, u + v, s)
+                term = c * (parity_sign(v) * math.comb(p, u) * math.comb(q, v))
+                acc[key] = acc.get(key, 0) + term
 
-    acc: dict[tuple[int, int, int], list[Fraction]] = {}
-    for p, cp in deriv.items():
-        pad = (ell - mm - p) // 2
-        for t in range(mm + 1):
-            # (x1 + i x2)^mm term: C(mm, t) x1^t (i x2)^(mm - t)
-            re_i, im_i = _I_POWERS[(mm - t) % 4]
-            base = cp * math.comb(mm, t)
-            for q1 in range(pad + 1):
-                for q2 in range(pad - q1 + 1):
-                    q3 = pad - q1 - q2
-                    mult = base * Fraction(
-                        factorial(pad), factorial(q1) * factorial(q2) * factorial(q3)
-                    )
-                    key = (t + 2 * q1, (mm - t) + 2 * q2, p + 2 * q3)
-                    slot = acc.setdefault(key, [Fraction(0), Fraction(0)])
-                    slot[0] += mult * re_i
-                    slot[1] += mult * im_i
-
-    # Normalization sqrt((2l+1) (l-m)! / (l+m)!) / (2 sqrt(pi)) and the
-    # Condon-Shortley (-1)^m from the associated Legendre function.
     norm = math.sqrt(
         (2 * ell + 1) * factorial(ell - mm) / factorial(ell + mm)
     ) / (2.0 * math.sqrt(math.pi))
-    sign = (-1) ** mm
     out: list[Monomial3] = []
-    for (a, b, g), (re, im) in sorted(acc.items()):
-        if re == 0 and im == 0:
+    for (a, b, g), coeff in sorted(acc.items()):
+        if coeff == 0:
             continue
-        coeff = complex(float(re), float(im))
-        if m < 0:
-            # Conjugation relation: the (-1)^m there cancels the
-            # Condon-Shortley sign, leaving the bare conjugate.
-            out.append(Monomial3(a, b, g, norm * coeff.conjugate()))
-        else:
-            out.append(Monomial3(a, b, g, sign * norm * coeff))
+        part = float(parity_sign(b // 2) * coeff)
+        value = complex(0.0, part) if b % 2 else complex(part, 0.0)
+        out.append(Monomial3(a, b, g, front * norm * value))
     return tuple(out)
 
 
+# (2j+1)^3 exact integers per 2j (about 70,000 at 2j = 40), hence a bounded
+# cache.
+@functools.lru_cache(maxsize=4)
+def _ladder_powers(two_j: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """A^0, ..., A^(2j) of the integer tridiagonal A = S^-1 (2M) S, and the
+    prefix products F[r] = f(0) ... f(r-1), as read-only arrays of Python
+    ints.
+
+    A[r, r] = 2r - 2j, A[r+1, r] = -1 and A[r, r+1] = f(r) with
+    f(r) = (2j - r)(r + 1); S = diag(sqrt(F)).
+    """
+    dim = two_j + 1
+    f = [(two_j - r) * (r + 1) for r in range(two_j)]
+    diag = np.array([2 * r - two_j for r in range(dim)], dtype=object)
+    upper = np.array(f, dtype=object)
+    powers = [np.eye(dim, dtype=object)]
+    for _ in range(two_j):
+        # right multiplication by A, one column shift per off-diagonal
+        prev = powers[-1]
+        nxt = prev * diag
+        nxt[:, 1:] += prev[:, :-1] * upper
+        nxt[:, :-1] -= prev[:, 1:]
+        powers.append(nxt)
+    prefix = np.array([math.prod(f[:r]) for r in range(dim)], dtype=object)
+    for arr in (*powers, prefix):
+        arr.flags.writeable = False
+    return tuple(powers), prefix
+
+
 def hat_ylm(params: FuzzyParams, ell: int, m: int) -> HatResult:
-    """Hat-map of the harmonic polynomial; beyond the band limit the result
-    is the zero matrix with the whole polynomial in the truncation log."""
-    poly = ylm_as_polynomial(ell, m)
-    if ell > params.two_j:
-        return HatResult(OperatorMatrix.zeros(params.two_j), tuple(poly))
-    return hat_map(params, poly)
+    """Hat-map of the harmonic polynomial, read off band m of one exact
+    integer matrix power (module docstring); beyond the band limit the
+    result is the zero matrix with the whole polynomial in the truncation
+    log.
+
+    Entry (r + m, r) is sign(a) sqrt((2 ell + 1) / (4 pi)) radius^ell
+    sqrt(Q) for a = A^ell[r + m, r] and the exact rational
+    Q = (ell+m)! (ell-m)! a^2 F[r+m] / ((2j (2j+2))^ell ell!^2 F[r]).  Q
+    is rounded once to a float, and nothing cancels after that, so no range
+    cap applies.
+    """
+    if ell < 0 or abs(m) > ell:
+        raise ValueError(f"invalid harmonic index (ell={ell}, m={m})")
+    tj = params.two_j
+    if ell > tj:
+        return HatResult(OperatorMatrix.zeros(tj), tuple(ylm_as_polynomial(ell, m)))
+    powers, prefix = _ladder_powers(tj)
+    a = np.diagonal(powers[ell], -m)
+    # F[r + m] and F[r] along the band, r ascending like a
+    rows = prefix[max(m, 0) :][: len(a)]
+    cols = prefix[max(-m, 0) :][: len(a)]
+    num = factorial(ell + m) * factorial(ell - m) * rows * a * a
+    den = (tj * (tj + 2)) ** ell * factorial(ell) ** 2 * cols
+    root = np.sqrt((num / den).astype(float))
+    scale = math.sqrt((2 * ell + 1) / (4 * math.pi)) * params.radius**ell
+    band = np.where(a < 0, -scale, scale) * root
+    return HatResult(OperatorMatrix(tj, np.diag(band, -m), hermitian=(m == 0)), ())
 
 
 def c_of_ell_closed(params: FuzzyParams, ell: int) -> float:

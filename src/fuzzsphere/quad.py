@@ -37,7 +37,6 @@ __all__ = [
     "GridRings",
     "PlaneGrid",
     "integrate_sphere",
-    "integrate_plane",
     "ring_gram",
     "weighted_gram",
 ]
@@ -246,15 +245,3 @@ class PlaneGrid:
                 points.append(r * complex(math.cos(ang), math.sin(ang)))
                 weights.append(wk / self.n_angular)
         return points, weights
-
-
-def integrate_plane(f: Callable[[complex], complex], grid: PlaneGrid) -> complex:
-    """Gaussian-measure integral of f over the complex plane."""
-    points, weights = grid.nodes_and_weights()
-    terms: list[complex] = []
-    for idx, (z, w) in enumerate(zip(points, weights)):
-        v = complex(f(z))
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ValueError(f"non-finite sample {v} at node {idx} (z={z!r})")
-        terms.append(w * v)
-    return _complex_fsum(terms)

@@ -11,6 +11,7 @@ and every mu on an array of polar angles at phi = 0 is one batched product
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .algebra import parity_sign
 from .quad import SpherePoint
-from .wigner import Su2Element, su2_from_rotation, wigner_D, wigner_D_columns, wigner_D_matrix
+from .wigner import Su2Element, su2_from_rotation, wigner_D_columns, wigner_D_matrix
 
 __all__ = [
     "SshParams",
@@ -184,20 +185,20 @@ def _prefactor(params: SshParams) -> complex:
 
 
 def ssh_eval(params: SshParams, two_mu: int, x: SpherePoint) -> complex:
-    """Value of the spin-sigma harmonic with projection mu at x.
+    """Value of the spin-sigma harmonic with projection mu at x: entry mu of
+    :func:`ssh_column`.
 
     Y_mu^sigma(theta, phi) = i^(2 sigma) e^(i sigma psi) e^(i mu phi)
     sqrt((2j+1)/(4 pi)) D^j_{mu sigma}(theta/2, 0, pi/2), one entry of the
     representation matrix (:func:`fuzzsphere.wigner.wigner_D`): exact at
     the north pole, and for 2j <= D_MATRIX_MAX_TWO_J only.
     """
-    tj, ts = params.two_j, params.two_sigma
+    tj = params.two_j
     if (two_mu - tj) % 2:
         raise ValueError(f"2mu={two_mu} parity differs from 2j={tj}")
     if abs(two_mu) > tj:
         raise ValueError(f"|2mu|={abs(two_mu)} exceeds 2j={tj}")
-    d = wigner_D(tj, two_mu, ts, Su2Element(x.theta / 2, 0.0, math.pi / 2))
-    return _prefactor(params) * cmath.exp(0.5j * two_mu * x.phi) * d
+    return complex(ssh_column(params, x)[(two_mu + tj) // 2])
 
 
 def ssh_rings(params: SshParams, thetas) -> np.ndarray:
@@ -238,16 +239,27 @@ def lambda_minus(params: SshParams) -> OperatorMatrix:
 
 
 def lambda_matrices(params: SshParams) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
-    """Hermitian generators (L1, L2, L3) on the spin-j space."""
-    tj = params.two_j
-    lp = lambda_plus(params)
-    lm = lambda_minus(params)
-    l1 = OperatorMatrix(tj, (lp.entries + lm.entries) / 2.0, True)
-    l2 = OperatorMatrix(tj, (lp.entries - lm.entries) / 2j, True)
-    l3 = OperatorMatrix(
-        tj, np.diag([tmu / 2.0 for tmu in params.projections()]).astype(complex), True
+    """Hermitian generators (L1, L2, L3) on the spin-j space, shared
+    read-only matrices memoized per 2j."""
+    return _generators(params.two_j)
+
+
+# Three dim^2 complex matrices per 2j (0.2 MB at 2j = 40), hence a bounded
+# cache.
+@functools.lru_cache(maxsize=16)
+def _generators(two_j: int) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
+    params = SshParams(two_j, two_j % 2)
+    lp = lambda_plus(params).entries
+    lm = lp.conj().T
+    l3 = np.diag(np.arange(-two_j, two_j + 1, 2) / 2.0).astype(complex)
+    out = (
+        OperatorMatrix(two_j, (lp + lm) / 2.0, True),
+        OperatorMatrix(two_j, (lp - lm) / 2j, True),
+        OperatorMatrix(two_j, l3, True),
     )
-    return l1, l2, l3
+    for op in out:
+        op.entries.flags.writeable = False
+    return out
 
 
 def rotation_operator(params: SshParams, xi: Su2Element) -> OperatorMatrix:

@@ -50,7 +50,6 @@ __all__ = [
     "three_j_cache_clear",
     "D_MATRIX_MAX_TWO_J",
     "wigner_D",
-    "wigner_D_column",
     "wigner_D_columns",
     "wigner_D_matrix",
     "wigner_D_sum",
@@ -312,26 +311,17 @@ def _index(two_j: int, two_m: int) -> int:
 
 
 def wigner_D(two_j: int, two_m1: int, two_m2: int, xi: Su2Element) -> complex:
-    """Representation matrix element D^j_{m1 m2}(xi) in O(2j) work.
+    """Representation matrix element D^j_{m1 m2}(xi): entry m1 of the
+    one-element :func:`wigner_D_columns`.
 
     D(xi) = diag(e^{-i m (psi1 + psi2)}) exp(-2 i omega Lambda_1)
     diag(e^{-i m (psi1 - psi2)}), the middle factor in the memoized real
     eigenbasis of Lambda_1 (Feng, Wang, Yang and Jin, Phys. Rev. E 92 (2015)
     043307) and exactly the identity at omega = 0.  2j above
-    D_MATRIX_MAX_TWO_J raises ValueError, as do the column and the matrix.
+    D_MATRIX_MAX_TWO_J raises ValueError, as do the columns and the matrix.
     """
-    r, c = _index(two_j, two_m1), _index(two_j, two_m2)
-    o, twice_m = _lambda1_eigenbasis(two_j)
-    if xi.omega == 0.0:
-        middle = complex(r == c)
-    else:
-        # A plain loop, still O(2j): at the small 2j of quadrature sampling
-        # it costs less than the numpy calls would.
-        middle = 0j
-        for a, b, tm in zip(o[r].tolist(), o[c].tolist(), twice_m.tolist()):
-            middle += a * b * cmath.exp(-1j * xi.omega * tm)
-    phase = two_m1 * (xi.psi1 + xi.psi2) + two_m2 * (xi.psi1 - xi.psi2)
-    return cmath.exp(-0.5j * phase) * middle
+    r = _index(two_j, two_m1)
+    return complex(wigner_D_columns(two_j, two_m2, (xi.omega,), xi.psi1, xi.psi2)[0, r])
 
 
 def wigner_D_columns(
@@ -354,12 +344,6 @@ def wigner_D_columns(
         middle[pole] = 0.0
         middle[pole, c] = 1.0
     return middle * np.exp(-0.5j * ((psi1 + psi2) * twice_m + two_m2 * (psi1 - psi2)))
-
-
-def wigner_D_column(two_j: int, two_m2: int, xi: Su2Element) -> np.ndarray:
-    """Column m2 of D^j(xi), m1 ascending: the one-element case of
-    :func:`wigner_D_columns`."""
-    return wigner_D_columns(two_j, two_m2, (xi.omega,), xi.psi1, xi.psi2)[0]
 
 
 def wigner_D_matrix(two_j: int, xi: Su2Element) -> np.ndarray:

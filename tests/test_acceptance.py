@@ -58,7 +58,7 @@ def test_criterion_04_fuzzy_correspondence():
 
 
 def test_criterion_04_fuzzy_correspondence_large_j():
-    report(4, _fuzzy_residuals(FuzzyParams(16, 2), (0, 8, 16)), suffix="_2j16")
+    report(4, _fuzzy_residuals(FuzzyParams(40, 2), (0, 20, 40)), suffix="_2j40")
 
 
 def test_criterion_05_symmetrization_lemma():

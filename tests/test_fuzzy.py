@@ -137,14 +137,20 @@ def test_mutating_ylm_polynomial_leaves_later_output_unchanged():
 
 
 def test_memo_clear_is_bitwise_neutral():
-    # Built one degree at a time (ell 3, then 6), then rebuilt at once.
+    # Hatted harmonics from a fresh memo of the ladder powers, then from
+    # another fresh memo in the reverse order, agree bit for bit.
     fp = FuzzyParams(6, 2)
     keys = [(ell, m) for ell in (3, 6) for m in range(-ell, ell + 1)]
-    fuzzy._generator_table.cache_clear()
+    fuzzy._ladder_powers.cache_clear()
     first = {k: hat_ylm(fp, *k).matrix.entries.copy() for k in keys}
-    fuzzy._generator_table.cache_clear()
+    fuzzy._ladder_powers.cache_clear()
     again = {k: hat_ylm(fp, *k).matrix.entries for k in reversed(keys)}
     assert all(np.array_equal(first[k], again[k]) for k in keys)
+    # the memoized powers are shared, so they cannot be modified
+    powers, prefix = fuzzy._ladder_powers(6)
+    for arr in (*powers, prefix):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_hat_map_refuses_past_working_range_without_building_table():
@@ -152,8 +158,6 @@ def test_hat_map_refuses_past_working_range_without_building_table():
     fuzzy._generator_table.cache_clear()
     with pytest.raises(ValueError, match="2j=28"):
         hat_map(FuzzyParams(29, 1), [Monomial3(1, 0, 0, 1.0)])
-    with pytest.raises(ValueError, match="2j=28"):
-        hat_ylm(FuzzyParams(29, 3), 2, 1)
     assert fuzzy._generator_table.cache_info().misses == 0
     # 2j = 28 is inside the range; a degree-0 term needs no products.
     out = hat_map(FuzzyParams(28, 2), [Monomial3(0, 0, 0, 2.0)])
@@ -332,6 +336,44 @@ def test_hat_ylm_beyond_band():
     res = hat_ylm(fp, 4, 1)
     assert res.matrix.max_abs() == 0.0
     assert len(res.truncated) > 0
+
+
+def test_hat_ylm_band_matches_hat_map_oracle():
+    # The exact band against the generic hat-map of the same polynomial,
+    # relative to the largest entry; one degree past the band limit the
+    # result is zero with the whole polynomial logged.
+    for tj in range(1, 9):
+        for ts in range(-tj, tj + 1, 2):
+            if ts == 0:
+                continue
+            for radius in (1.0, 0.7):
+                fp = FuzzyParams(tj, ts, radius)
+                for ell in range(0, tj + 2):
+                    for m in range(-ell, ell + 1):
+                        poly = ylm_as_polynomial(ell, m)
+                        got = hat_ylm(fp, ell, m)
+                        if ell > tj:
+                            assert got.matrix.max_abs() == 0.0
+                            assert got.truncated == tuple(poly)
+                            continue
+                        want = hat_map(fp, poly).matrix.entries
+                        scale = np.abs(want).max()
+                        assert np.abs(got.matrix.entries - want).max() <= 1e-12 * scale
+                        assert got.truncated == ()
+
+
+def test_hat_ylm_builds_no_symmetrized_monomial(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hat_ylm reached the generic hat-map")
+
+    for name in ("sym_monomial", "hat_map", "_generator_table"):
+        monkeypatch.setattr(fuzzy, name, refuse)
+    fp = FuzzyParams(7, 3)
+    for ell in range(0, 9):
+        for m in range(-ell, ell + 1):
+            hat_ylm(fp, ell, m)
+    with pytest.raises(ValueError):
+        hat_ylm(fp, 2, 3)
 
 
 # ------------------------------------------------------------- correspondence

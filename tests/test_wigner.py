@@ -20,7 +20,7 @@ from fuzzsphere.wigner import (
     three_j_cache_info,
     three_j_twice,
     wigner_D,
-    wigner_D_column,
+    wigner_D_columns,
     wigner_D_matrix,
     wigner_D_sum,
 )
@@ -423,7 +423,8 @@ def test_wigner_d_entry_column_and_matrix_agree():
         xi = Su2Element(*rng.uniform(0, 2 * math.pi, 3))
         d = wigner_D_matrix(tj, xi)
         for c, tm2 in enumerate(range(-tj, tj + 1, 2)):
-            assert np.abs(wigner_D_column(tj, tm2, xi) - d[:, c]).max() < 1e-14
+            column = wigner_D_columns(tj, tm2, (xi.omega,), xi.psi1, xi.psi2)[0]
+            assert np.abs(column - d[:, c]).max() < 1e-14
             for r, tm1 in enumerate(range(-tj, tj + 1, 2)):
                 assert abs(wigner_D(tj, tm1, tm2, xi) - d[r, c]) < 1e-14
 
@@ -437,7 +438,8 @@ def test_wigner_d_exact_at_omega_zero():
         assert np.count_nonzero(d - np.diag(np.diag(d))) == 0
         assert np.abs(np.diag(d) - np.exp(-1j * 0.6 * np.arange(-tj, tj + 1, 2))).max() < 1e-15
         assert wigner_D(tj, -tj, tj, xi) == 0
-        assert np.count_nonzero(wigner_D_column(tj, tj, xi)[:-1]) == 0
+        column = wigner_D_columns(tj, tj, (xi.omega,), xi.psi1, xi.psi2)[0]
+        assert np.count_nonzero(column[:-1]) == 0
 
 
 def test_wigner_d_refuses_past_working_range():
@@ -449,7 +451,7 @@ def test_wigner_d_refuses_past_working_range():
         with pytest.raises(ValueError, match=str(top)):
             wigner_D(tj, tj, tj, xi)
         with pytest.raises(ValueError, match=str(top)):
-            wigner_D_column(tj, -tj, xi)
+            wigner_D_columns(tj, -tj, (xi.omega,), xi.psi1, xi.psi2)
         # the pole is refused too, not answered from the exact branch
         with pytest.raises(ValueError, match=str(top)):
             wigner_D_matrix(tj, Su2Element.identity())

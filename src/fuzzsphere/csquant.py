@@ -3,7 +3,9 @@
 Classical observables become operators through two independent pipelines:
 numerical quadrature of the frame integral, and the exact closed form built
 from pairs of 3j-symbols.  Their entrywise agreement is the central
-correctness gate of the package.
+correctness gate of the package.  The closed form of Y_lm is band m of the
+memoized 3j band table of (2j, l) times one spin factor, written in one
+stride; its entries are bit for bit those of one 3j lookup per entry.
 
 All frame integrals carry the measure sin(theta) dtheta dphi of total mass
 4 pi (half-weighted on the double cover), which is what makes the harmonic
@@ -168,11 +170,12 @@ def quantize_quadrature(
 def quantize_ylm_closed(params: SshParams, ell: int, m: int) -> OperatorMatrix:
     """Quantized spherical harmonic from the exact double-3j closed form.
 
-    Only the entries with nu = mu - m couple, so the loop runs over that
-    band of dim - |m| entries.  Returns the zero matrix when ell exceeds
-    the 2j band limit.
+    Only the entries with nu = mu - m couple: that band is row l + m of the
+    memoized 3j band table of (2j, l) (:func:`fuzzsphere.wigner._three_j_band`)
+    times one spin factor, bit for bit what one 3j lookup per entry gives.
+    Returns the zero matrix when ell exceeds the 2j band limit.
     """
-    from .wigner import three_j_twice
+    from .wigner import _three_j_band, three_j_twice
 
     if abs(m) > ell:
         raise ValueError(f"|m|={abs(m)} exceeds ell={ell}")
@@ -183,12 +186,14 @@ def quantize_ylm_closed(params: SshParams, ell: int, m: int) -> OperatorMatrix:
     scale = (tj + 1) * math.sqrt((2 * ell + 1) / FOUR_PI) * spin_factor
     dim = params.dim
     entries = np.zeros((dim, dim), dtype=complex)
-    # Row r holds mu = -j + r, so nu = mu - m sits in column r - m.
-    for r in range(max(0, m), min(dim, dim + m)):
-        tmu = 2 * r - tj
-        sign = parity_sign((ts - tmu) // 2)
-        coupling = three_j_twice(tj, tj, 2 * ell, -tmu, tmu - 2 * m, 2 * m).to_float()
-        entries[r, r - m] = sign * scale * coupling
+    # Row r holds mu = -j + r, so nu = mu - m sits in column r - m: flat
+    # index r (dim + 1) - m, one stride of dim + 1 along the band.
+    lo, hi = max(0, m), min(dim, dim + m)
+    band = _three_j_band(tj, ell)[ell + m, lo:hi]
+    start = lo * (dim + 1) - m
+    entries.reshape(-1)[start : start + (hi - lo) * (dim + 1) : dim + 1] = (
+        parity_sign((ts + tj) // 2) * scale * band
+    )
     return OperatorMatrix(tj, entries, hermitian=(m == 0))
 
 

@@ -18,6 +18,14 @@ and splits the square root through the prime exponents of the factorials
 (:func:`fuzzsphere.algebra.factorial_radical`), in the manner of Johansson
 and Forssen, SIAM J. Sci. Comput. 38 (2016) A376.  The cache is safe for
 concurrent use and counts its hits and misses (:func:`three_j_cache_info`).
+
+The closed-form quantization reads whole bands of symbols: the family
+(j j l; -mu, mu-m, m) at fixed (2j, l) is closed under the swap of its first
+two columns and under m-negation, so one memoized float table per (2j, l)
+(:func:`_three_j_band`) is looked up on its canonical quarter only, as for
+precomputed 3j tables (Rasch and Yu, SIAM J. Sci. Comput. 25 (2003) 1416),
+and filled through those symmetries.  Each entry is bit for bit the float of
+its own exact symbol.  :func:`three_j_cache_clear` empties the tables too.
 """
 
 from __future__ import annotations
@@ -155,10 +163,12 @@ def three_j_cache_info() -> ThreeJCacheInfo:
 
 
 def three_j_cache_clear() -> None:
-    """Empty the 3j cache and reset its counters."""
+    """Empty the 3j cache and the band tables built from it, and reset its
+    counters."""
     with _CACHE_LOCK:
         _CACHE.clear()
         _COUNTS["hits"] = _COUNTS["misses"] = 0
+    _three_j_band.cache_clear()
 
 
 def _three_j_raw(cols: tuple[tuple[int, int], ...]) -> ExactRadical:
@@ -271,6 +281,39 @@ def three_j_twice(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) ->
     return -value if flip else value
 
 
+# (2l+1) x (2j+1) floats per (2j, l), at most 32 B per distinct symbol: a
+# sweep over every l at 2j = 24, 32 and 40 holds 99 tables (0.96 MB), so
+# the bound sits well above one such cyclic pass.
+@functools.lru_cache(maxsize=256)
+def _three_j_band(two_j: int, ell: int) -> np.ndarray:
+    """Read-only float table of (-1)^r (j j l; -mu, mu-m, m), mu = -j + r,
+    at row l + m and column r, for 0 <= l <= 2j.
+
+    Row m >= 0 is looked up (:func:`three_j_twice`) only for r <= m+2j-r;
+    the column swap mu -> m - mu fills the rest of the row, and m-negation
+    gives row -m as row m reversed, both with the sign (-1)^(2j+l).  Each
+    entry is the float of its own exact symbol, bit for bit, since negating
+    an exact radical negates its float; a vanishing symbol reads +0.0
+    before the (-1)^r is folded in, as :func:`three_j_twice` gives it.
+    """
+    dim = two_j + 1
+    table = np.zeros((2 * ell + 1, dim))
+    sign = parity_sign(two_j + ell)
+    for m in range(ell + 1):
+        row = table[ell + m]
+        for r in range(m, (m + two_j) // 2 + 1):
+            tmu = 2 * r - two_j
+            value = three_j_twice(two_j, two_j, 2 * ell, -tmu, tmu - 2 * m, 2 * m).to_float()
+            row[m + two_j - r] = sign * value
+            row[r] = value
+        if m:
+            table[ell - m] = sign * row[::-1]
+    table += 0.0  # -0.0 -> +0.0
+    table[:, 1::2] *= -1.0
+    table.flags.writeable = False
+    return table
+
+
 def three_j(key: ThreeJKey) -> ExactRadical:
     """Exact 3j-symbol of a keyed argument set; see :func:`three_j_twice`."""
     return three_j_twice(
@@ -358,8 +401,15 @@ def wigner_D_matrix(two_j: int, xi: Su2Element) -> np.ndarray:
     return rows[:, None] * middle * np.exp(-0.5j * (xi.psi1 - xi.psi2) * twice_m)
 
 
-def wigner_D_sum(two_j: int, two_m1: int, two_m2: int, xi: Su2Element) -> complex:
+def wigner_D_sum(
+    two_j: int, two_m1: int, two_m2: int, xi: Su2Element
+) -> complex | np.ndarray:
     """D^j_{m1 m2}(xi) by the explicit alternating sum, the small-j oracle.
+
+    xi.omega may also be an array of angles, with psi1 and psi2 scalar: the
+    result is then the array of entries, each summed in the same term
+    order, and the factorial prefactor is computed once.  A scalar omega
+    gives a complex.
 
     Regular at both poles and for every element, but its terms cancel as 2j
     grows: the harmonic sum rule is off by up to 2.6e-12 at 2j=40 and 3e-3
@@ -369,8 +419,9 @@ def wigner_D_sum(two_j: int, two_m1: int, two_m2: int, xi: Su2Element) -> comple
         raise ValueError("projection parity does not match the spin")
     if abs(two_m1) > two_j or abs(two_m2) > two_j:
         raise ValueError("projection out of range")
-    co = math.cos(xi.omega)
-    si = math.sin(xi.omega)
+    omega = np.asarray(xi.omega, dtype=float)
+    co = np.cos(omega)
+    si = np.sin(omega)
     a = co * cmath.exp(1j * xi.psi1)
     abar = co * cmath.exp(-1j * xi.psi1)
     c = 1j * si * cmath.exp(1j * xi.psi2)
@@ -382,7 +433,7 @@ def wigner_D_sum(two_j: int, two_m1: int, two_m2: int, xi: Su2Element) -> comple
         factorial(jp1) * factorial((two_j - two_m1) // 2)
         * factorial((two_j + two_m2) // 2) * factorial(jm2)
     )
-    total = 0j
+    total = np.zeros(omega.shape, dtype=complex)
     for t in range(max(0, dm), min(jm2, jp1) + 1):
         total += (
             a ** (jm2 - t) / factorial(jm2 - t)
@@ -390,7 +441,8 @@ def wigner_D_sum(two_j: int, two_m1: int, two_m2: int, xi: Su2Element) -> comple
             * c ** (t - dm) / factorial(t - dm)
             * cbar**t / factorial(t)
         )
-    return pref * total
+    out = pref * total
+    return complex(out) if out.ndim == 0 else out
 
 
 _PAULI = (

@@ -167,6 +167,43 @@ def test_export_round_trip_bit_exact(tmp_path, capsys):
     assert load_matrix(as_csv)[1] == 1
 
 
+def _per_entry_rendering(m, fmt, two_sigma):
+    """Both file formats rendered one numpy entry at a time, the reference
+    for the bytes save_matrix writes."""
+    dim = m.two_j + 1
+    fields = []
+    for r in range(dim):
+        for c in range(dim):
+            z = m.entries[r, c]
+            fields.append((r, c, format(float(z.real), ".17g"), format(float(z.imag), ".17g")))
+    if fmt == "json":
+        cells = ", ".join(f"[{x}, {y}]" for _, _, x, y in fields)
+        return (
+            f'{{"two_j": {m.two_j}, "two_sigma": {two_sigma}, "rows": {dim}, '
+            f'"entries": [{cells}]}}\n'
+        )
+    rows = [f"{r},{c},{x},{y}" for r, c, x, y in fields]
+    return "\n".join([f"# two_j={m.two_j} two_sigma={two_sigma}", "row,col,re,im", *rows]) + "\n"
+
+
+def test_save_matrix_bytes_match_per_entry_rendering(tmp_path):
+    from fuzzsphere.csquant import quantize_ylm_closed
+    from fuzzsphere.ssh import SshParams
+
+    rng = np.random.default_rng(11)
+    arr = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    arr[0, 1] = complex(-0.0, -0.0)
+    arr[2, 3] = complex(0.0, -0.0)
+    arr[4, 4] = complex(-1e-300, 1e300)
+    matrices = [OperatorMatrix(4, arr), quantize_ylm_closed(SshParams(6, 2), 3, -1)]
+    assert any(str(x) == "-0.0" for x in matrices[1].entries.real.ravel().tolist())
+    for m in matrices:
+        for fmt in ("json", "csv"):
+            path = tmp_path / f"m.{fmt}"
+            save_matrix(m, path, fmt, two_sigma=-3)
+            assert path.read_bytes() == _per_entry_rendering(m, fmt, -3).encode()
+
+
 def test_csv_round_trip_keeps_two_sigma(tmp_path):
     path = tmp_path / "m.csv"
     save_matrix(OperatorMatrix.identity(4), path, "csv", two_sigma=2)

@@ -331,6 +331,88 @@ def test_banded_closed_form_matches_full_scan_bitwise(tj, two_sigmas):
                 assert got.hermitian == (m == 0)
 
 
+def _closed_form_band_loop(params, ell, m):
+    """The closed form as one 3j lookup per band entry (the per-entry loop
+    the band table replaced), the reference for bit-identity."""
+    from fuzzsphere.algebra import parity_sign
+    from fuzzsphere.wigner import three_j_twice
+
+    tj, ts = params.two_j, params.two_sigma
+    spin_factor = three_j_twice(tj, tj, 2 * ell, -ts, ts, 0).to_float()
+    scale = (tj + 1) * math.sqrt((2 * ell + 1) / FOUR_PI) * spin_factor
+    dim = params.dim
+    entries = np.zeros((dim, dim), dtype=complex)
+    for r in range(max(0, m), min(dim, dim + m)):
+        tmu = 2 * r - tj
+        sign = parity_sign((ts - tmu) // 2)
+        coupling = three_j_twice(tj, tj, 2 * ell, -tmu, tmu - 2 * m, 2 * m).to_float()
+        entries[r, r - m] = sign * scale * coupling
+    return entries
+
+
+def test_band_table_closed_form_matches_per_entry_loop_bitwise():
+    cases = list(spin_pairs(10)) + [(40, 0), (40, 2), (40, 40)]
+    for tj, ts in cases:
+        p = SshParams(tj, ts)
+        for ell in range(tj + 1):
+            for m in range(-ell, ell + 1):
+                got = quantize_ylm_closed(p, ell, m).entries
+                # bytes, so that signed zeros must agree too
+                assert got.tobytes() == _closed_form_band_loop(p, ell, m).tobytes(), (
+                    tj, ts, ell, m,
+                )
+        assert quantize_ylm_closed(p, tj + 1, 0).entries.tobytes() == bytes(16 * p.dim**2)
+        with pytest.raises(ValueError):
+            quantize_ylm_closed(p, 1, 2)
+
+
+def test_closed_form_sweep_looks_up_each_symbol_once():
+    from fuzzsphere.wigner import three_j_cache_clear, three_j_cache_info
+
+    p = SshParams(24, 2)
+    for _ in range(2):
+        three_j_cache_clear()
+        for ell in range(25):
+            for m in range(-ell, ell + 1):
+                quantize_ylm_closed(p, ell, m)
+        info = three_j_cache_info()
+        # 625 spin-factor lookups plus the canonical quarter of each band table
+        assert info.entries == info.misses == 2769
+        assert info.hits + info.misses <= 3472
+
+
+def test_closed_form_from_concurrent_cold_sweeps_is_bitwise_sequential():
+    import sys
+    import threading
+
+    from fuzzsphere.wigner import three_j_cache_clear
+
+    p = SshParams(12, 2)
+    keys = [(ell, m) for ell in range(13) for m in range(-ell, ell + 1)]
+    three_j_cache_clear()
+    sequential = [quantize_ylm_closed(p, ell, m).entries.tobytes() for ell, m in keys]
+    three_j_cache_clear()
+    results = {}
+
+    def worker(tag):
+        order = keys if tag % 2 else keys[::-1]
+        results[tag] = {k: quantize_ylm_closed(p, *k).entries.tobytes() for k in order}
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for tag in range(4):
+        assert [results[tag][k] for k in keys] == sequential
+
+
 def test_closed_form_spin1_diagonal_formula():
     # ell = 1, m = 0 entries are sigma sqrt(3/4pi) mu / (j(j+1)).
     for tj, ts in ((2, 2), (4, 2), (3, 3), (5, 1)):

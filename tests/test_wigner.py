@@ -237,6 +237,24 @@ def test_three_j_cache_info_counts_hits_and_misses():
     assert three_j_cache_info() == (1, 0, 1)
 
 
+def test_three_j_band_table_is_read_only_and_cleared_with_the_cache():
+    from fuzzsphere import wigner as _w
+
+    table = _w._three_j_band(6, 2)
+    assert table.shape == (5, 7)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    # Row l + m, column r: (-1)^r (j j l; -mu, mu-m, m) with mu = -j + r.
+    for m in range(-2, 3):
+        for r in range(7):
+            tmu = 2 * r - 6
+            want = (-1) ** r * three_j_twice(6, 6, 4, -tmu, tmu - 2 * m, 2 * m).to_float()
+            assert table[2 + m, r] == want
+    _w.three_j_cache_clear()
+    assert _w._three_j_band.cache_info().currsize == 0
+
+
 def _twelve_image_canonical(cols):
     """The lexicographically smallest of the 12 images of the columns under
     permutations and global m-negation, scanned in a fixed order; odd
@@ -395,6 +413,21 @@ def test_wigner_d_matches_sum_oracle():
                     a = wigner_D(tj, tm1, tm2, xi)
                     b = wigner_D_sum(tj, tm1, tm2, xi)
                     assert abs(a - b) < 1e-12
+
+
+def test_wigner_d_sum_takes_an_array_of_omega():
+    rng = np.random.default_rng(8)
+    omegas = rng.uniform(0.0, math.pi / 2, size=7)
+    for tj in (0, 3, 8):
+        for tm1 in range(-tj, tj + 1, 2):
+            for tm2 in (-tj, tj):
+                got = wigner_D_sum(tj, tm1, tm2, Su2Element(omegas, 0.4, 1.3))
+                want = [
+                    wigner_D_sum(tj, tm1, tm2, Su2Element(w, 0.4, 1.3)) for w in omegas.tolist()
+                ]
+                assert got.shape == (7,)
+                assert np.abs(got - want).max() < 1e-14
+                assert isinstance(want[0], complex)
 
 
 def test_wigner_d_unitary():

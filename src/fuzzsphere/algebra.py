@@ -4,13 +4,16 @@ Spins and projections are stored as twice-values (the integer 2j), so
 half-integer bookkeeping is exact.  Radical numbers sign * (p/q) * sqrt(r/s)
 with arbitrary-precision parts are the value class of the exact angular
 coupling coefficients.  Square roots of factorial ratios are split into
-square and square-free parts from a memoized table of the prime exponents
-of n!, so no large integer is ever factored by trial division.
+square and square-free parts from a memoized table of the parity bitmasks
+of the prime exponents of n!, so no large integer is ever factored by trial
+division.  Such a split (num/den) * sqrt(free) has one float finisher,
+:func:`radical_to_float`, which ``ExactRadical.to_float`` also uses.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -139,12 +142,20 @@ class ExactRadical:
         return ExactRadical(-self.coeff, self.radicand)
 
     def __mul__(self, other: "ExactRadical") -> "ExactRadical":
-        return radical(
-            self.coeff * other.coeff, self.radicand * other.radicand
-        )
+        # sqrt(a) sqrt(b) = g sqrt((a/g)(b/g)) for g = gcd(a, b); the
+        # cofactors of two square-free radicands are coprime and square-free.
+        a, b = self.radicand.numerator, other.radicand.numerator
+        g = math.gcd(a, b)
+        coeff = self.coeff * other.coeff * g
+        if coeff == 0:
+            return RADICAL_ZERO
+        return ExactRadical(coeff, Fraction((a // g) * (b // g)))
 
     def scaled(self, q: Fraction | int) -> "ExactRadical":
-        return radical(self.coeff * q, self.radicand)
+        coeff = self.coeff * q
+        if coeff == 0:
+            return RADICAL_ZERO
+        return ExactRadical(coeff, self.radicand)
 
     def squared(self) -> Fraction:
         """Exact rational value of the square."""
@@ -156,9 +167,8 @@ class ExactRadical:
         return sq if self.coeff >= 0 else -sq
 
     def to_float(self) -> float:
-        # n / d is float(Fraction(n, d)), without the generic __float__.
-        c, r = self.coeff, self.radicand
-        return c.numerator / c.denominator * math.sqrt(r.numerator / r.denominator)
+        c = self.coeff
+        return radical_to_float(c.numerator, c.denominator, self.radicand.numerator)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -199,36 +209,60 @@ def radical(coeff: Fraction | int, radicand: Fraction | int) -> ExactRadical:
 RADICAL_ZERO = ExactRadical(Fraction(0), Fraction(1))
 
 
-# Entry n holds the exponents of the primes 2, 3, 5, ... <= n in n!, in the
-# order of _PRIMES.  Both lists only grow, under the lock; a prime is
-# appended before the first entry that uses it, so readers need no lock.
+# Bit i of entry n is set when the prime _PRIMES[i] divides n! an odd number
+# of times.  Both lists only grow, under the lock; a prime is appended before
+# the first entry that uses it, so readers need no lock.
 _PRIMES: list[int] = []
-_FACTORIAL_EXPONENTS: list[tuple[int, ...]] = [(), ()]
+_FACTORIAL_PARITY: list[int] = [0, 0]
 _FACTORIAL_LOCK = threading.Lock()
 
 
-def _factorial_exponents(n: int) -> tuple[int, ...]:
-    """Prime exponents of n!, memoized; entry k extends entry k-1 by the
-    factorization of k over the primes found so far."""
-    table = _FACTORIAL_EXPONENTS
+def _factorial_parity(n: int) -> list[int]:
+    """The parity table, grown to hold n!: entry k is entry k-1 XOR the
+    odd-exponent primes of k, found among the primes so far."""
+    table = _FACTORIAL_PARITY
     if n < len(table):
-        return table[n]
+        return table
     with _FACTORIAL_LOCK:
         while len(table) <= n:
             k = len(table)
-            exps = list(table[-1])
+            mask = table[-1]
             rest = k
             for i, p in enumerate(_PRIMES):
                 while rest % p == 0:
                     rest //= p
-                    exps[i] += 1
+                    mask ^= 1 << i
                 if rest == 1:
                     break
             if rest > 1:  # no smaller prime divides k
+                mask ^= 1 << len(_PRIMES)
                 _PRIMES.append(k)
-                exps.append(1)
-            table.append(tuple(exps))
-    return table[n]
+            table.append(mask)
+    return table
+
+
+def factorial_sqrt(top: Sequence[int], bottom: int) -> tuple[int, int, int]:
+    """(a, b, free) with sqrt(prod(n! for n in top) / bottom!) = (a/b) sqrt(free)
+    and free square-free.
+
+    free is the product of the primes whose exponents in the ratio are odd,
+    the XOR of the factorials' parity masks.  With T the numerator and B the
+    denominator, T B free is a perfect square, so sqrt(T/B) = sqrt(free)
+    isqrt(T B free) / (B free) is exact; a/b is not reduced.
+    """
+    parity = _factorial_parity(max(bottom, *top) if top else bottom)
+    mask = parity[bottom]
+    t = 1
+    for n in top:
+        mask ^= parity[n]
+        t *= math.factorial(n)
+    free = 1
+    while mask:
+        low = mask & -mask
+        free *= _PRIMES[low.bit_length() - 1]
+        mask ^= low
+    b = math.factorial(bottom) * free
+    return math.isqrt(t * b), b, free
 
 
 def factorial_radical(
@@ -236,28 +270,49 @@ def factorial_radical(
 ) -> ExactRadical:
     """Normalized (num/den) * sqrt(prod(n! for n in top) / bottom!).
 
-    The radicand's exponent e of each prime p comes from the factorial
-    table; p^(e//2) joins the coefficient and p^(e%2) stays under the root,
-    which is the same normalization :func:`radical` reaches by trial
-    division.
+    The square-free part of the radicand comes from the parity masks of the
+    factorials (:func:`factorial_sqrt`), which is the same normalization
+    :func:`radical` reaches by trial division.
     """
     if num == 0:
         return RADICAL_ZERO
-    exps = [-e for e in _factorial_exponents(bottom)]
-    for n in top:
-        row = _factorial_exponents(n)
-        if len(row) > len(exps):
-            exps += [0] * (len(row) - len(exps))
-        for i, e in enumerate(row):
-            exps[i] += e
-    square_num, square_den, free = 1, 1, 1
-    for p, e in zip(_PRIMES, exps):
-        if e > 0:
-            square_num *= p ** (e >> 1)
-        elif e < 0:
-            square_den *= p ** ((1 - e) >> 1)
-        if e & 1:
-            free *= p
-    return ExactRadical(
-        Fraction(num * square_num, den * square_den), Fraction(free)
-    )
+    a, b, free = factorial_sqrt(top, bottom)
+    return ExactRadical(Fraction(num * a, den * b), Fraction(free))
+
+
+_TINY = sys.float_info.min
+
+
+def radical_to_float(num: int, den: int, free: int) -> float:
+    """(num/den) * sqrt(free) as a float, for den > 0 and free >= 1.
+
+    int / int is correctly rounded, so the float depends on the value of
+    num/den alone, not on its representation.  Where that quotient or free
+    is out of float range, or the quotient is subnormal, the value is
+    scaled in integers instead (:func:`_scaled_radical_float`).
+    """
+    try:
+        coeff = num / den
+        value = coeff * math.sqrt(free)
+    except OverflowError:
+        return _scaled_radical_float(num, den, free)
+    if num and (abs(coeff) < _TINY or math.isinf(value)):
+        return _scaled_radical_float(num, den, free)
+    return value
+
+
+def _scaled_radical_float(num: int, den: int, free: int) -> float:
+    """(num/den) * sqrt(free) to within one ulp, from the integer square root
+    of its square scaled by 4^k to 2^126 or more; raises OverflowError past
+    the float range.  num/den is reduced first, so the result depends on the
+    value alone."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    top, bottom = num * num * free, den * den
+    k = (128 - top.bit_length() + bottom.bit_length()) // 2
+    if k >= 0:
+        q = (top << 2 * k) // bottom
+    else:
+        q = top // (bottom << -2 * k)
+    value = math.ldexp(math.isqrt(q), -k)
+    return -value if num < 0 else value

@@ -173,7 +173,9 @@ def quantize_ylm_closed(params: SshParams, ell: int, m: int) -> OperatorMatrix:
     Only the entries with nu = mu - m couple: that band is row l + m of the
     memoized 3j band table of (2j, l) (:func:`fuzzsphere.wigner._three_j_band`)
     times one spin factor, bit for bit what one 3j lookup per entry gives.
-    Returns the zero matrix when ell exceeds the 2j band limit.
+    Only the spin factor is an exact lookup; the band's symbols never enter
+    the exact 3j cache.  Returns the zero matrix when ell exceeds the 2j
+    band limit.
     """
     from .wigner import _three_j_band, three_j_twice
 

@@ -10,22 +10,29 @@ summation index is a rational, and the triangle/projection factorials stay
 under the square root.  Symmetry relations and orthogonality sums therefore
 hold exactly, not just numerically.
 
-Lookups take twice-valued plain ints (:func:`three_j_twice`; the keyed
+One integer kernel (:func:`_three_j_parts`) sums the Racah series as one
+integer over a common denominator and splits the square root through the
+parity bitmasks of the factorials' prime exponents
+(:func:`fuzzsphere.algebra.factorial_sqrt`), in the manner of Johansson and
+Forssen, SIAM J. Sci. Comput. 38 (2016) A376.  It returns (num, den, free)
+with the symbol equal to (num/den) sqrt(free); the exact route and the float
+tables below are two finishers of it.
+
+Exact lookups take twice-valued plain ints (:func:`three_j_twice`; the keyed
 :func:`three_j` delegates to it) and map the symbol to a canonical cache key
-by sorting its columns, with the permutation's parity giving the sign.  A
-cache miss sums the Racah series as one integer over a common denominator
-and splits the square root through the prime exponents of the factorials
-(:func:`fuzzsphere.algebra.factorial_radical`), in the manner of Johansson
-and Forssen, SIAM J. Sci. Comput. 38 (2016) A376.  The cache is safe for
-concurrent use and counts its hits and misses (:func:`three_j_cache_info`).
+by sorting its columns, with the permutation's parity giving the sign.  The
+cache is safe for concurrent use and counts its hits and misses
+(:func:`three_j_cache_info`).
 
 The closed-form quantization reads whole bands of symbols: the family
 (j j l; -mu, mu-m, m) at fixed (2j, l) is closed under the swap of its first
 two columns and under m-negation, so one memoized float table per (2j, l)
-(:func:`_three_j_band`) is looked up on its canonical quarter only, as for
+(:func:`_three_j_band`) is computed on its canonical quarter only, as for
 precomputed 3j tables (Rasch and Yu, SIAM J. Sci. Comput. 25 (2003) 1416),
-and filled through those symmetries.  Each entry is bit for bit the float of
-its own exact symbol.  :func:`three_j_cache_clear` empties the tables too.
+and filled through those symmetries.  Its symbols go straight from the kernel
+to :func:`fuzzsphere.algebra.radical_to_float`, outside the exact cache, and
+each entry is bit for bit the float of its own exact symbol.
+:func:`three_j_cache_clear` empties the tables too.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -44,8 +52,9 @@ from .algebra import (
     ExactRadical,
     HalfInt,
     factorial,
-    factorial_radical,
+    factorial_sqrt,
     parity_sign,
+    radical_to_float,
 )
 
 __all__ = [
@@ -171,13 +180,16 @@ def three_j_cache_clear() -> None:
     _three_j_band.cache_clear()
 
 
-def _three_j_raw(cols: tuple[tuple[int, int], ...]) -> ExactRadical:
-    """Direct evaluation of the single-sum formula on twice-valued columns.
+def _three_j_parts(cols: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:
+    """(num, den, free) with the symbol of the twice-valued columns equal to
+    (num/den) sqrt(free), free square-free; the columns must pass the
+    selection rules of :func:`three_j_twice`, in any order.
 
     The Racah series is summed as one integer over the common denominator
     s_hi! (c2-s_lo)! (c3-s_lo)! (c4+s_hi)! (c5+s_hi)! (c6-s_lo)!: each term
     is that denominator over its own, and consecutive terms differ by a
-    ratio of three linear factors.
+    ratio of three linear factors.  The square root of the triangle and
+    projection factorials is split by :func:`fuzzsphere.algebra.factorial_sqrt`.
     """
     (tj1, tm1), (tj2, tm2), (tj3, tm3) = cols
     a1 = (tj1 + tj2 - tj3) // 2
@@ -196,14 +208,14 @@ def _three_j_raw(cols: tuple[tuple[int, int], ...]) -> ExactRadical:
     for s in range(s_lo, s_hi + 1):
         total += -term if s % 2 else term
         term = term * (c2 - s) * (c3 - s) * (c6 - s) // ((s + 1) * (c4 + s + 1) * (c5 + s + 1))
+    if total == 0:
+        return 0, 1, 1
+    fact = math.factorial
     common = (
-        factorial(s_hi) * factorial(c2 - s_lo) * factorial(c3 - s_lo)
-        * factorial(c4 + s_hi) * factorial(c5 + s_hi) * factorial(c6 - s_lo)
+        fact(s_hi) * fact(c2 - s_lo) * fact(c3 - s_lo)
+        * fact(c4 + s_hi) * fact(c5 + s_hi) * fact(c6 - s_lo)
     )
-    sign = parity_sign((tj1 - tj2 - tm3) // 2)
-    return factorial_radical(
-        sign * total,
-        common,
+    a, b, free = factorial_sqrt(
         (
             a1, a2, a3,
             (tj1 + tm1) // 2, (tj1 - tm1) // 2,
@@ -212,6 +224,16 @@ def _three_j_raw(cols: tuple[tuple[int, int], ...]) -> ExactRadical:
         ),
         (tj1 + tj2 + tj3) // 2 + 1,
     )
+    sign = parity_sign((tj1 - tj2 - tm3) // 2)
+    return sign * total * a, common * b, free
+
+
+def _three_j_raw(cols: tuple[tuple[int, int], ...]) -> ExactRadical:
+    """Exact symbol of the twice-valued columns, from :func:`_three_j_parts`."""
+    num, den, free = _three_j_parts(cols)
+    if num == 0:
+        return RADICAL_ZERO
+    return ExactRadical(Fraction(num, den), Fraction(free))
 
 
 def _sort3(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]):
@@ -289,12 +311,14 @@ def _three_j_band(two_j: int, ell: int) -> np.ndarray:
     """Read-only float table of (-1)^r (j j l; -mu, mu-m, m), mu = -j + r,
     at row l + m and column r, for 0 <= l <= 2j.
 
-    Row m >= 0 is looked up (:func:`three_j_twice`) only for r <= m+2j-r;
-    the column swap mu -> m - mu fills the rest of the row, and m-negation
-    gives row -m as row m reversed, both with the sign (-1)^(2j+l).  Each
-    entry is the float of its own exact symbol, bit for bit, since negating
-    an exact radical negates its float; a vanishing symbol reads +0.0
-    before the (-1)^r is folded in, as :func:`three_j_twice` gives it.
+    Row m >= 0 is summed (:func:`_three_j_parts`) only for r <= m+2j-r; the
+    column swap mu -> m - mu fills the rest of the row, and m-negation gives
+    row -m as row m reversed, both with the sign (-1)^(2j+l).  Each entry is
+    the float of its own exact symbol, bit for bit: the float finisher
+    rounds the value of num/den, whatever its representation, and negating
+    an exact radical negates its float.  A vanishing symbol reads +0.0
+    before the (-1)^r is folded in, as ``three_j_twice(...).to_float()``
+    gives it.  No entry enters the exact cache.
     """
     dim = two_j + 1
     table = np.zeros((2 * ell + 1, dim))
@@ -303,7 +327,9 @@ def _three_j_band(two_j: int, ell: int) -> np.ndarray:
         row = table[ell + m]
         for r in range(m, (m + two_j) // 2 + 1):
             tmu = 2 * r - two_j
-            value = three_j_twice(two_j, two_j, 2 * ell, -tmu, tmu - 2 * m, 2 * m).to_float()
+            value = radical_to_float(
+                *_three_j_parts(((two_j, -tmu), (two_j, tmu - 2 * m), (2 * ell, 2 * m)))
+            )
             row[m + two_j - r] = sign * value
             row[r] = value
         if m:

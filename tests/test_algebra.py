@@ -13,6 +13,7 @@ from fuzzsphere.algebra import (
     factorial_radical,
     parity_sign,
     radical,
+    radical_to_float,
 )
 
 
@@ -120,6 +121,62 @@ def test_factorial_radical_matches_trial_division():
         ratio = Fraction(math.prod(math.factorial(n) for n in top), math.factorial(bottom))
         assert factorial_radical(num, den, top, bottom) == radical(Fraction(num, den), ratio)
     assert factorial_radical(0, 7, (5, 3), 4) == radical(0, 1)
+
+
+def test_scaled_and_product_equal_trial_division_radical():
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    small = st.integers(-60, 60)
+    positive = st.integers(1, 60)
+    # radicands of products of small integers, so trial division is exact
+    radicands = st.lists(st.integers(0, 40), max_size=6).map(math.prod)
+    radicals = st.builds(
+        lambda p, q, a, b: radical(Fraction(p, q), Fraction(a, b)),
+        small, positive, radicands, radicands.filter(bool),
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(radicals, radicals, small, positive)
+    def check(x, y, p, q):
+        k = Fraction(p, q)
+        assert x.scaled(k) == radical(x.coeff * k, x.radicand)
+        assert x.scaled(p) == radical(x.coeff * p, x.radicand)
+        assert x * y == radical(x.coeff * y.coeff, x.radicand * y.radicand)
+
+    check()
+
+
+def test_to_float_is_the_plain_quotient_in_range():
+    # In float range, to_float is the correctly rounded quotient times the
+    # rounded root, bit for bit.
+    rng = random.Random(11)
+    for _ in range(500):
+        x = factorial_radical(
+            rng.randrange(-10**30, 10**30), rng.randrange(1, 10**30),
+            [rng.randrange(0, 80) for _ in range(rng.randrange(0, 9))], rng.randrange(0, 90),
+        )
+        c, r = x.coeff, x.radicand
+        assert x.to_float() == c.numerator / c.denominator * math.sqrt(r.numerator / r.denominator)
+
+
+def test_radical_to_float_scales_past_float_range():
+    # quotient below the normal range, exact result
+    assert radical_to_float(3, 2**1100, 2**200) == 3 * 2.0**-1000
+    assert radical_to_float(-3, 2**1100, 2**200) == -3 * 2.0**-1000
+    # radicand past 2^1024, exact result
+    assert radical_to_float(5, 2**700, 2**1200) == 5 * 2.0**-100
+    # neither exact: next to the value the float expression gives
+    got = radical_to_float(7, 10**400, 3 * 10**500)
+    want = 7 * math.sqrt(3) * 1e-150
+    assert abs(got - want) <= 2 * math.ulp(want)
+    assert radical_to_float(0, 10**400, 3 * 10**500) == 0.0
+    # past the float range either way
+    with pytest.raises(OverflowError):
+        radical_to_float(10**400, 1, 1)
+    with pytest.raises(OverflowError):
+        radical_to_float(1, 1, 10**700)
+    assert radical_to_float(1, 10**400, 1) == 0.0
 
 
 def test_exact_radical_has_no_instance_dict():

@@ -30,6 +30,13 @@ def test_wigner3j_zero_cases(capsys):
         assert out.strip() == "0"
 
 
+def test_wigner3j_radicand_past_float_range(capsys):
+    # The square-free radicand has 1038 bits; the value is about 1.5e-3.
+    code, out, err = run(capsys, "wigner3j", "--two", "800", "800", "800", "0", "0", "0")
+    assert code == 0, err
+    assert out.strip().endswith("≈ 0.0015137597874191")
+
+
 def test_wigner3j_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "wigner3j", "--two", "-2", "2", "0", "0", "0", "0")
     assert code == 2

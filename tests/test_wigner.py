@@ -168,7 +168,7 @@ def test_three_j_cache_thread_safety():
 
 
 def test_factorial_table_and_cache_thread_safety():
-    # Cold factorial-exponent table and cold cache, filled by racing threads
+    # Cold factorial-parity table and cold cache, filled by racing threads
     # switching often; a lost table entry or counter update breaks the
     # values or the hit + miss total.
     import sys
@@ -188,7 +188,7 @@ def test_factorial_table_and_cache_thread_safety():
     sequential = [three_j_twice(*k) for k in symbols]
     _w.three_j_cache_clear()
     with _a._FACTORIAL_LOCK:
-        del _a._FACTORIAL_EXPONENTS[2:]
+        del _a._FACTORIAL_PARITY[2:]
         _a._PRIMES.clear()
     results = {}
 
@@ -253,6 +253,113 @@ def test_three_j_band_table_is_read_only_and_cleared_with_the_cache():
             assert table[2 + m, r] == want
     _w.three_j_cache_clear()
     assert _w._three_j_band.cache_info().currsize == 0
+
+
+def _band_by_exact_lookups(tj, ell):
+    """The band table of (2j, l) as one exact lookup per entry, each
+    rounded by ``to_float``: the reference for bit-identity."""
+    return np.array([
+        [
+            (-1) ** r * three_j_twice(tj, tj, 2 * ell, tj - 2 * r, 2 * r - tj - 2 * m, 2 * m).to_float()
+            for r in range(tj + 1)
+        ]
+        for m in range(-ell, ell + 1)
+    ])
+
+
+def test_three_j_band_matches_exact_lookups_bitwise():
+    from fuzzsphere import wigner as _w
+
+    cases = [(tj, range(tj + 1)) for tj in range(41)]
+    cases += [(tj, (0, 1, tj // 3, tj - 1, tj)) for tj in (64, 100)]
+    for tj, ells in cases:
+        for ell in ells:
+            # bytes, so that signed zeros must agree too
+            got = _w._three_j_band(tj, ell).tobytes()
+            assert got == _band_by_exact_lookups(tj, ell).tobytes(), (tj, ell)
+        _w.three_j_cache_clear()  # no symbol recurs at another 2j
+
+
+def _racah_radical(cols):
+    """The symbol as radical(rational Racah sum, factorial ratio): the sum
+    term by term in Fractions, the root normalized by trial division."""
+    (tj1, tm1), (tj2, tm2), (tj3, tm3) = cols
+    f = math.factorial
+    total = Fraction(0)
+    for s in range(tj1 + tj2 + tj3):
+        args = (
+            s, (tj3 - tj2 + tm1) // 2 + s, (tj3 - tj1 - tm2) // 2 + s,
+            (tj1 + tj2 - tj3) // 2 - s, (tj1 - tm1) // 2 - s, (tj2 + tm2) // 2 - s,
+        )
+        if min(args) >= 0:
+            total += Fraction((-1) ** s, math.prod(f(a) for a in args))
+    top = (
+        (tj1 + tj2 - tj3) // 2, (tj1 - tj2 + tj3) // 2, (-tj1 + tj2 + tj3) // 2,
+        (tj1 + tm1) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2,
+        (tj2 - tm2) // 2, (tj3 + tm3) // 2, (tj3 - tm3) // 2,
+    )
+    ratio = Fraction(math.prod(f(n) for n in top), f((tj1 + tj2 + tj3) // 2 + 1))
+    sign = -1 if (tj1 - tj2 - tm3) // 2 % 2 else 1
+    return radical(sign * total, ratio)
+
+
+def test_cold_sweep_symbols_match_trial_division_radical():
+    from fuzzsphere import algebra as _a
+    from fuzzsphere import wigner as _w
+
+    tj, ts = 24, 2
+    symbols = [(tj, tj, 2 * ell, -ts, ts, 0) for ell in range(tj + 1)]
+    symbols += [
+        (tj, tj, 2 * ell, -tmu, tmu - 2 * m, 2 * m)
+        for ell in range(tj + 1)
+        for m in range(ell + 1)
+        for tmu in range(2 * m - tj, m + 1, 2)
+    ]
+    keys = {_w._canonical(*k)[0] for k in symbols}
+    assert len(keys) == 2769
+    with _a._FACTORIAL_LOCK:
+        del _a._FACTORIAL_PARITY[2:]
+        _a._PRIMES.clear()
+    for key in sorted(keys):
+        want = _racah_radical(key)
+        num, den, free = _w._three_j_parts(key)
+        assert _w._three_j_raw(key) == want, key
+        if num:
+            assert radical(Fraction(num, den), free) == want, key
+        assert _a.radical_to_float(num, den, free) == want.to_float(), key
+
+
+def _mp_stretched(tj):
+    """(j j 2j; j -j 0) = sqrt((2j)!^2 / (4j+1)!), to 50 digits."""
+    mp = pytest.importorskip("mpmath")
+    f = math.factorial
+    with mp.workdps(50):
+        return mp.sqrt(mp.mpf(f(tj) ** 2) / f(2 * tj + 1))
+
+
+def _mp_zero_projections(tj):
+    """(j j j; 0 0 0) for even 3j, g = 3j/2, to 50 digits:
+    (-1)^g sqrt((2g-2j)!^3 / (2g+1)!) g! / (g-j)!^3."""
+    mp = pytest.importorskip("mpmath")
+    f = math.factorial
+    g = 3 * tj // 4
+    with mp.workdps(50):
+        root = mp.sqrt(mp.mpf(f(2 * g - tj) ** 3) / f(2 * g + 1))
+        return (-1) ** g * root * f(g) / f(g - tj // 2) ** 3
+
+
+@pytest.mark.parametrize(
+    "args, oracle",
+    [
+        ((800, 800, 800, 0, 0, 0), lambda: _mp_zero_projections(800)),
+        ((600, 600, 1200, 600, -600, 0), lambda: _mp_stretched(600)),
+        ((1000, 1000, 2000, 1000, -1000, 0), lambda: _mp_stretched(1000)),
+    ],
+)
+def test_three_j_float_past_float_range_of_its_parts(args, oracle):
+    # Radicands past 2^1024, or coefficients below the smallest normal float.
+    got = three_j_twice(*args).to_float()
+    assert abs(got / oracle() - 1) <= 1e-15, (args, got)
 
 
 def _twelve_image_canonical(cols):

@@ -80,9 +80,6 @@ class HalfInt:
     def __float__(self) -> float:
         return self.twice / 2.0
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
     def __str__(self) -> str:
         if self.is_integer:
             return str(self.twice // 2)
@@ -98,9 +95,30 @@ class HalfInt:
 # from factorial ratios are smooth, so this fully factors them.
 _SMALL_PRIME_BOUND = 100_000
 
+# Miller-Rabin with the first 13 primes as bases is exact below 3.3e24
+# (Sorenson & Webster, Math. Comp. 86 (2017) 985).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_certified_prime(n: int) -> bool:
+    """True when the odd n > 41 is prime and below _MR_LIMIT."""
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^r, d odd
+    d = (n - 1) >> r
+    return n < _MR_LIMIT and all(
+        pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(r))
+        for a in _MR_BASES
+    )
+
 
 def _square_free_split(n: int) -> tuple[int, int]:
-    """Split n > 0 as s*s*f with f square-free (best effort past the bound)."""
+    """Split n > 0 as s*s*f with f square-free.
+
+    A cofactor left past the trial-division bound stays under the root only
+    where it is provably square-free: below 10^15 it has at most two prime
+    factors (100003^3 is larger), or it is a certified prime.  Otherwise
+    ValueError names it.
+    """
     s, f = 1, 1
     d = 2
     while d <= _SMALL_PRIME_BOUND and d * d <= n:
@@ -117,23 +135,26 @@ def _square_free_split(n: int) -> tuple[int, int]:
         r = math.isqrt(n)
         if r * r == n:
             s *= r
-        else:
+        elif n < 10**15 or _is_certified_prime(n):
             f *= n
+        else:
+            raise ValueError(f"cannot find the square part of the cofactor {n}")
     return s, f
 
 
 @dataclass(frozen=True, slots=True)
 class ExactRadical:
-    """Number of the form coeff * sqrt(radicand), both exact rationals.
+    """Number of the form coeff * sqrt(radicand): an exact rational times
+    the root of a square-free positive integer.
 
     Always normalized: square factors of the radicand are folded into the
-    coefficient, zero is (0, 1), and the radicand is a positive integer
-    (denominators are rationalized away).  Use :func:`radical` or
+    coefficient, zero is (0, 1), and denominators under the root are
+    rationalized away.  Use :func:`radical` or
     :func:`factorial_radical` to build one.
     """
 
     coeff: Fraction
-    radicand: Fraction
+    radicand: int
 
     def is_zero(self) -> bool:
         return self.coeff == 0
@@ -144,12 +165,12 @@ class ExactRadical:
     def __mul__(self, other: "ExactRadical") -> "ExactRadical":
         # sqrt(a) sqrt(b) = g sqrt((a/g)(b/g)) for g = gcd(a, b); the
         # cofactors of two square-free radicands are coprime and square-free.
-        a, b = self.radicand.numerator, other.radicand.numerator
+        a, b = self.radicand, other.radicand
         g = math.gcd(a, b)
         coeff = self.coeff * other.coeff * g
         if coeff == 0:
             return RADICAL_ZERO
-        return ExactRadical(coeff, Fraction((a // g) * (b // g)))
+        return ExactRadical(coeff, (a // g) * (b // g))
 
     def scaled(self, q: Fraction | int) -> "ExactRadical":
         coeff = self.coeff * q
@@ -168,7 +189,7 @@ class ExactRadical:
 
     def to_float(self) -> float:
         c = self.coeff
-        return radical_to_float(c.numerator, c.denominator, self.radicand.numerator)
+        return radical_to_float(c.numerator, c.denominator, self.radicand)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -180,13 +201,9 @@ class ExactRadical:
             coeff_s = str(c.numerator)
         else:
             coeff_s = f"({c.numerator}/{c.denominator})"
-        r = self.radicand
-        if r == 1:
+        if self.radicand == 1:
             return sign + coeff_s
-        if r.denominator == 1:
-            rad_s = f"√{r.numerator}"
-        else:
-            rad_s = f"√({r.numerator}/{r.denominator})"
+        rad_s = f"√{self.radicand}"
         if c == 1:
             return sign + rad_s
         return f"{sign}{coeff_s}·{rad_s}"
@@ -199,14 +216,14 @@ def radical(coeff: Fraction | int, radicand: Fraction | int) -> ExactRadical:
     if radicand < 0:
         raise ValueError(f"negative radicand {radicand}")
     if coeff == 0 or radicand == 0:
-        return ExactRadical(Fraction(0), Fraction(1))
+        return RADICAL_ZERO
     # sqrt(p/q) = sqrt(p*q)/q rationalizes the denominator.
     p, q = radicand.numerator, radicand.denominator
     s, f = _square_free_split(p * q)
-    return ExactRadical(coeff * Fraction(s, q), Fraction(f))
+    return ExactRadical(coeff * Fraction(s, q), f)
 
 
-RADICAL_ZERO = ExactRadical(Fraction(0), Fraction(1))
+RADICAL_ZERO = ExactRadical(Fraction(0), 1)
 
 
 # Bit i of entry n is set when the prime _PRIMES[i] divides n! an odd number
@@ -277,7 +294,7 @@ def factorial_radical(
     if num == 0:
         return RADICAL_ZERO
     a, b, free = factorial_sqrt(top, bottom)
-    return ExactRadical(Fraction(num * a, den * b), Fraction(free))
+    return ExactRadical(Fraction(num * a, den * b), free)
 
 
 _TINY = sys.float_info.min

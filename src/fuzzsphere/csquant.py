@@ -59,22 +59,10 @@ FOUR_PI = 4 * math.pi
 MEASURE_MASS = FOUR_PI
 
 
-def normalization_constant(
-    params: SshParams, check_at: SpherePoint | None = None
-) -> float:
-    """N(x) = (2j+1)/(4 pi), constant over the sphere.
-
-    Passing a probe point recomputes the sum rule there and raises if the
-    evaluated harmonics have drifted from the hardcoded constant.
-    """
-    value = (params.two_j + 1) / FOUR_PI
-    if check_at is not None:
-        total = float(np.sum(np.abs(ssh_column(params, check_at)) ** 2))
-        if abs(total - value) > 1e-10:
-            raise ArithmeticError(
-                f"sum-rule drift at {check_at}: {total} != {value}"
-            )
-    return value
+def normalization_constant(params: SshParams) -> float:
+    """N(x) = (2j+1)/(4 pi), constant over the sphere (the sum rule that
+    ``verify``'s ``ssh_sum_rule`` checks)."""
+    return (params.two_j + 1) / FOUR_PI
 
 
 @dataclass(frozen=True)
@@ -104,9 +92,8 @@ def reproducing_kernel(params: SshParams, x: SpherePoint, xp: SpherePoint) -> co
     return complex(np.vdot(ssh_column(params, xp), ssh_column(params, x)))
 
 
-def _default_grid(params: SshParams, ell_max: int | None = None) -> SphereGrid:
-    band = params.two_j if ell_max is None else ell_max
-    return SphereGrid.auto(params.two_j, band, params.phi_period)
+def _default_grid(params: SshParams) -> SphereGrid:
+    return SphereGrid.auto(params.two_j, params.two_j, params.phi_period)
 
 
 # One (n_theta, dim) array per entry: 84 x 41 complex (55 kB) at 2j = 40 on

@@ -27,10 +27,11 @@ Cartesian monomials from the first-factor recurrence
 T(a,b,c) = L1 T(a-1,b,c) + L2 T(a,b-1,c) + L3 T(a,b,c-1), T(0,0,0) = 1,
 with Sym(L1^a L2^b L3^c) = a! b! c! / n! T(a,b,c) for n = a+b+c.  It is run
 in that normalized form, n Sym(a,b,c) = a L1 Sym(a-1,b,c) + b L2 Sym(a,b-1,c)
-+ c L3 Sym(a,b,c-1), so entries stay of order j^n.  Every monomial up to
-degree n costs O(n^3) matrix products.  The generators depend on 2j alone,
-so one table per 2j, extended to the highest degree requested so far and
-kept for a few spins, serves every sigma and polynomial.
++ c L3 Sym(a,b,c-1), so entries stay of order j^n.  Sym(a,b,c) needs every
+exponent triple of its box (a+1)(b+1)(c+1), filled in lexicographic order.
+The generators depend on 2j alone, so one memo per 2j, filled box by box
+and kept for a few spins, serves every sigma and polynomial;
+:func:`sym_product` runs the same fill on a fresh memo of arbitrary factors.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,6 +133,23 @@ def _sym_step(
     return acc
 
 
+def _sym_fill(factors: Sequence[np.ndarray], counts: tuple, memo: dict) -> np.ndarray:
+    """Sym(counts), after filling every vector of the box below it that the
+    memo (count vector -> read-only array, seeded with the zero vector)
+    lacks.  Lexicographic order reaches each vector after those one factor
+    below it, with no recursion; concurrent callers may compute one entry
+    twice, with identical bytes.  A vector is stored after its whole box,
+    so a stored one returns at once."""
+    if counts in memo:
+        return memo[counts]
+    for key in itertools.product(*(range(c + 1) for c in counts)):
+        if key not in memo:
+            arr = _sym_step(factors, key, memo)
+            arr.setflags(write=False)
+            memo[key] = arr
+    return memo[counts]
+
+
 def sym_product(operators: list[OperatorMatrix]) -> OperatorMatrix:
     """Symmetrized product: the average over all orderings of the factors.
 
@@ -157,60 +174,32 @@ def sym_product(operators: list[OperatorMatrix]) -> OperatorMatrix:
         else:
             factors.append(op.entries)
             counts.append(1)
-    sym = {(0,) * len(counts): np.eye(two_j + 1, dtype=complex)}
-    # Lexicographic order reaches every vector after those one factor below it.
-    for key in itertools.product(*(range(c + 1) for c in counts)):
-        if key not in sym:
-            sym[key] = _sym_step(factors, key, sym)
-    return OperatorMatrix(two_j, sym[tuple(counts)])
+    memo = {(0,) * len(counts): np.eye(two_j + 1, dtype=complex)}
+    return OperatorMatrix(two_j, _sym_fill(factors, tuple(counts), memo).copy())
 
 
-class _GeneratorTable:
-    """Sym(L1^a L2^b L3^c) on one spin-j space for every exponent triple up
-    to the highest degree requested so far, extended one degree at a time.
-
-    Entries are read-only because OperatorMatrix does not copy its array;
-    the lock makes extension safe for concurrent callers.
-    """
-
-    def __init__(self, two_j: int):
-        params = SshParams(two_j, two_j % 2)
-        self.lams = tuple(lam.entries for lam in lambda_matrices(params))
-        eye = np.eye(two_j + 1, dtype=complex)
-        eye.setflags(write=False)
-        self.sym: dict[tuple[int, int, int], np.ndarray] = {(0, 0, 0): eye}
-        self.degree = 0
-        self.lock = threading.Lock()
-
-    def get(self, exponents: tuple[int, int, int]) -> np.ndarray:
-        with self.lock:
-            while self.degree < sum(exponents):
-                d = self.degree + 1
-                for a in range(d, -1, -1):
-                    for b in range(d - a, -1, -1):
-                        key = (a, b, d - a - b)
-                        arr = _sym_step(self.lams, key, self.sym)
-                        arr.setflags(write=False)
-                        self.sym[key] = arr
-                self.degree = d
-            return self.sym[exponents]
-
-
-# The generators depend on 2j alone, so one table serves every sigma and
-# harmonic; it holds C(n+3, 3) matrices up to degree n (about 12 MB at
-# 2j = n = 20), hence only a few spins are kept.
+# The generators depend on 2j alone, so one memo serves every sigma and
+# harmonic.  It holds the union of the boxes asked for, at most C(n+3, 3)
+# matrices up to degree n: 14 MB at 2j = n = 20 and 63 MB at 2j = n = 28,
+# the hat_map cap (traced allocations), hence only a few spins are kept.
 @functools.lru_cache(maxsize=4)
-def _generator_table(two_j: int) -> _GeneratorTable:
-    return _GeneratorTable(two_j)
+def _monomial_memo(two_j: int) -> tuple[tuple[np.ndarray, ...], dict]:
+    """(L1, L2, L3) on the spin-j space and the memo of their symmetrized
+    monomials, seeded with a read-only identity."""
+    lams = tuple(lam.entries for lam in lambda_matrices(SshParams(two_j, two_j % 2)))
+    eye = np.eye(two_j + 1, dtype=complex)
+    eye.setflags(write=False)
+    return lams, {(0, 0, 0): eye}
 
 
 def sym_monomial(two_j: int, exponents: tuple[int, int, int]) -> OperatorMatrix:
-    """Sym(L1^a L2^b L3^c) on the spin-j space, read from the memoized
-    per-2j table; the entries are a shared read-only array."""
+    """Sym(L1^a L2^b L3^c) on the spin-j space, read from the memo per 2j;
+    the entries are a shared read-only array."""
     exponents = tuple(exponents)
     if len(exponents) != 3 or min(exponents) < 0:
         raise ValueError(f"exponents must be three non-negative ints, got {exponents}")
-    return OperatorMatrix(two_j, _generator_table(two_j).get(exponents))
+    lams, memo = _monomial_memo(two_j)
+    return OperatorMatrix(two_j, _sym_fill(lams, exponents, memo))
 
 
 # Largest 2j at which the generic hat_map still agrees with the exact band
@@ -218,7 +207,7 @@ def sym_monomial(two_j: int, exponents: tuple[int, int, int]) -> OperatorMatrix:
 # Cartesian monomials cancel, and the worst m-spread of the quantized/hatted
 # ratio over all ell through hat_map is 8.0e-10 at 2j=28 (2 sigma = 2), but
 # 1.1e-9 at 2j=29 (2 sigma = 1), 3.1e-9 at 30 and 3.8e-9 at 31, growing about
-# tenfold per 4 in 2j.  The generator table also takes 114 MB at 2j=32.
+# tenfold per 4 in 2j.
 HAT_MAP_MAX_TWO_J = 28
 
 
@@ -229,7 +218,7 @@ def hat_map(params: FuzzyParams, poly: list[Monomial3]) -> HatResult:
 
     The working range is 2j <= HAT_MAP_MAX_TWO_J (28); beyond it the
     symmetrized monomials lose the accuracy the fuzzy comparison needs, so
-    a larger 2j raises ValueError before any generator table is built.
+    a larger 2j raises ValueError before any symmetrized monomial is built.
     """
     if params.two_j > HAT_MAP_MAX_TWO_J:
         raise ValueError(

@@ -156,9 +156,6 @@ class OperatorMatrix:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.entries)))
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
     def operator_norm(self) -> float:
         """Largest singular value by direct dense decomposition."""
         return float(np.linalg.svd(self.entries, compute_uv=False)[0])

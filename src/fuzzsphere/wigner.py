@@ -110,9 +110,6 @@ class Su2Element:
     def __mul__(self, other: "Su2Element") -> "Su2Element":
         return Su2Element.from_matrix(self.matrix() @ other.matrix())
 
-    def inverse(self) -> "Su2Element":
-        return Su2Element.from_matrix(self.matrix().conj().T)
-
     def conjugate_element(self) -> "Su2Element":
         """Element with the entrywise-conjugated matrix (xy-mirror twin)."""
         return Su2Element.from_matrix(self.matrix().conj())
@@ -233,7 +230,7 @@ def _three_j_raw(cols: tuple[tuple[int, int], ...]) -> ExactRadical:
     num, den, free = _three_j_parts(cols)
     if num == 0:
         return RADICAL_ZERO
-    return ExactRadical(Fraction(num, den), Fraction(free))
+    return ExactRadical(Fraction(num, den), free)
 
 
 def _sort3(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]):

@@ -104,6 +104,16 @@ def test_radical_negative_radicand_rejected():
         radical(1, -2)
 
 
+def test_radical_cofactor_past_trial_division():
+    # 100003 and 100019 are the first primes past the trial-division bound.
+    p, q = 100003, 100019
+    with pytest.raises(ValueError, match=str(p * p * q)):
+        radical(1, p * p * q)
+    assert radical(1, 2**61 - 1).radicand == 2**61 - 1  # a Mersenne prime
+    assert radical(1, p * q).radicand == p * q
+    assert radical(1, p * p) == radical(p, 1)
+
+
 def test_radical_str_format():
     assert str(radical(Fraction(-1, 3), 3)) == "-(1/3)·√3"
     assert str(radical(2, 1)) == "2"

@@ -82,13 +82,6 @@ def test_coherent_state_rotation_covariance_up_to_phase():
             assert fidelity > 1 - 1e-10
 
 
-def test_normalization_constant_debug_recompute():
-    p = SshParams(5, 3)
-    x = random_point(p)
-    value = normalization_constant(p, check_at=x)
-    assert value == pytest.approx(6 / FOUR_PI, abs=1e-15)
-
-
 def test_kernel_diagonal_and_j0():
     p = SshParams(4, 2)
     x = random_point(p)

@@ -136,9 +136,14 @@ def test_mutating_ylm_polynomial_leaves_later_output_unchanged():
     assert np.array_equal(hat_ylm(fp, 3, -2).matrix.entries, hat_before)
 
 
+# Every exponent triple of degree <= 6: the monomials of the 2j = 6 memo.
+MONOMIALS_6 = [e for e in itertools.product(range(7), repeat=3) if sum(e) <= 6]
+
+
 def test_memo_clear_is_bitwise_neutral():
     # Hatted harmonics from a fresh memo of the ladder powers, then from
-    # another fresh memo in the reverse order, agree bit for bit.
+    # another fresh memo in the reverse order, agree bit for bit; so do the
+    # symmetrized monomials of a fresh memo per 2j.
     fp = FuzzyParams(6, 2)
     keys = [(ell, m) for ell in (3, 6) for m in range(-ell, ell + 1)]
     fuzzy._ladder_powers.cache_clear()
@@ -146,6 +151,11 @@ def test_memo_clear_is_bitwise_neutral():
     fuzzy._ladder_powers.cache_clear()
     again = {k: hat_ylm(fp, *k).matrix.entries for k in reversed(keys)}
     assert all(np.array_equal(first[k], again[k]) for k in keys)
+    fuzzy._monomial_memo.cache_clear()
+    first = {e: sym_monomial(6, e).entries.tobytes() for e in MONOMIALS_6}
+    fuzzy._monomial_memo.cache_clear()
+    again = {e: sym_monomial(6, e).entries.tobytes() for e in reversed(MONOMIALS_6)}
+    assert first == again
     # the memoized powers are shared, so they cannot be modified
     powers, prefix = fuzzy._ladder_powers(6)
     for arr in (*powers, prefix):
@@ -153,12 +163,49 @@ def test_memo_clear_is_bitwise_neutral():
             arr[0] = 0
 
 
+def test_sym_monomial_fills_only_its_box():
+    fuzzy._monomial_memo.cache_clear()
+    sym_monomial(6, (2, 1, 3))
+    _, memo = fuzzy._monomial_memo(6)
+    assert set(memo) == set(itertools.product(range(3), range(2), range(4)))
+
+
+def test_sym_monomial_memo_thread_safety():
+    # Racing threads on one cold memo, switching often: two may compute one
+    # entry, and every result must be the bytes of a sequential fill.
+    import sys
+    import threading
+
+    fuzzy._monomial_memo.cache_clear()
+    sequential = {e: sym_monomial(6, e).entries.tobytes() for e in MONOMIALS_6}
+    fuzzy._monomial_memo.cache_clear()
+    fuzzy._monomial_memo(6)
+    results = {}
+
+    def worker(tag):
+        order = MONOMIALS_6 if tag % 2 else MONOMIALS_6[::-1]
+        results[tag] = {e: sym_monomial(6, e).entries.tobytes() for e in order}
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[tag] == sequential for tag in range(6))
+
+
 def test_hat_map_refuses_past_working_range_without_building_table():
     assert fuzzy.HAT_MAP_MAX_TWO_J == 28
-    fuzzy._generator_table.cache_clear()
+    fuzzy._monomial_memo.cache_clear()
     with pytest.raises(ValueError, match="2j=28"):
         hat_map(FuzzyParams(29, 1), [Monomial3(1, 0, 0, 1.0)])
-    assert fuzzy._generator_table.cache_info().misses == 0
+    assert fuzzy._monomial_memo.cache_info().misses == 0
     # 2j = 28 is inside the range; a degree-0 term needs no products.
     out = hat_map(FuzzyParams(28, 2), [Monomial3(0, 0, 0, 2.0)])
     assert np.array_equal(out.matrix.entries, 2.0 * np.eye(29))
@@ -366,7 +413,7 @@ def test_hat_ylm_builds_no_symmetrized_monomial(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("hat_ylm reached the generic hat-map")
 
-    for name in ("sym_monomial", "hat_map", "_generator_table"):
+    for name in ("sym_monomial", "hat_map", "_monomial_memo"):
         monkeypatch.setattr(fuzzy, name, refuse)
     fp = FuzzyParams(7, 3)
     for ell in range(0, 9):

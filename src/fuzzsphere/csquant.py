@@ -4,8 +4,9 @@ Classical observables become operators through two independent pipelines:
 numerical quadrature of the frame integral, and the exact closed form built
 from pairs of 3j-symbols.  Their entrywise agreement is the central
 correctness gate of the package.  The closed form of Y_lm is band m of the
-memoized 3j band table of (2j, l) times one spin factor, written in one
-stride; its entries are bit for bit those of one 3j lookup per entry.
+memoized 3j band table of (2j, l) times one spin factor read from the same
+table, written in one stride; its entries are bit for bit those of one
+exact 3j lookup per entry, and it makes no exact lookup.
 
 All frame integrals carry the measure sin(theta) dtheta dphi of total mass
 4 pi (half-weighted on the double cover), which is what makes the harmonic
@@ -32,6 +33,7 @@ import numpy as np
 from .algebra import factorial, parity_sign
 from .quad import PlaneGrid, SphereGrid, SpherePoint, ring_gram, weighted_gram
 from .ssh import OperatorMatrix, SshParams, lambda_matrices, ssh_column, ssh_rings
+from .wigner import _three_j_band
 
 __all__ = [
     "MEASURE_MASS",
@@ -159,29 +161,29 @@ def quantize_ylm_closed(params: SshParams, ell: int, m: int) -> OperatorMatrix:
 
     Only the entries with nu = mu - m couple: that band is row l + m of the
     memoized 3j band table of (2j, l) (:func:`fuzzsphere.wigner._three_j_band`)
-    times one spin factor, bit for bit what one 3j lookup per entry gives.
-    Only the spin factor is an exact lookup; the band's symbols never enter
-    the exact 3j cache.  Returns the zero matrix when ell exceeds the 2j
-    band limit.
+    times the spin factor (j j l; -sigma sigma 0), read from the same table,
+    bit for bit what one exact 3j lookup per entry gives.  Returns the zero
+    matrix when ell exceeds the 2j band limit.
     """
-    from .wigner import _three_j_band, three_j_twice
-
     if abs(m) > ell:
         raise ValueError(f"|m|={abs(m)} exceeds ell={ell}")
     tj, ts = params.two_j, params.two_sigma
     if ell > tj:
         return OperatorMatrix.zeros(tj)
-    spin_factor = three_j_twice(tj, tj, 2 * ell, -ts, ts, 0).to_float()
+    table = _three_j_band(tj, ell)
+    # Column r holds mu = sigma; its (-1)^r is undone, and a zero reads +0.0.
+    r = (tj + ts) // 2
+    spin_factor = parity_sign(r) * float(table[ell, r])
     scale = (tj + 1) * math.sqrt((2 * ell + 1) / FOUR_PI) * spin_factor
     dim = params.dim
     entries = np.zeros((dim, dim), dtype=complex)
     # Row r holds mu = -j + r, so nu = mu - m sits in column r - m: flat
     # index r (dim + 1) - m, one stride of dim + 1 along the band.
     lo, hi = max(0, m), min(dim, dim + m)
-    band = _three_j_band(tj, ell)[ell + m, lo:hi]
+    band = table[ell + m, lo:hi]
     start = lo * (dim + 1) - m
     entries.reshape(-1)[start : start + (hi - lo) * (dim + 1) : dim + 1] = (
-        parity_sign((ts + tj) // 2) * scale * band
+        parity_sign(r) * scale * band
     )
     return OperatorMatrix(tj, entries, hermitian=(m == 0))
 
@@ -243,7 +245,7 @@ def quantize_expansion(params: SshParams, f: HarmonicExpansion) -> ExpansionResu
     total = OperatorMatrix.zeros(params.two_j)
     dropped: list[tuple[int, int, complex]] = []
     for (ell, m), coeff in sorted(f.terms.items()):
-        if 2 * ell > params.two_j:
+        if ell > params.two_j:
             dropped.append((ell, m, coeff))
             continue
         total = total + quantize_ylm_closed(params, ell, m).scaled(coeff)

@@ -45,9 +45,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import factorial, parity_sign
+from .algebra import factorial, factorial_sqrt, parity_sign, radical_to_float
 from .csquant import cartesian_factor, normalization_constant, quantize_ylm_closed
 from .ssh import OperatorMatrix, SshParams, lambda_matrices, ssh_rings
+from .wigner import _three_j_parts
 
 __all__ = [
     "HAT_MAP_MAX_TWO_J",
@@ -345,11 +346,15 @@ def hat_ylm(params: FuzzyParams, ell: int, m: int) -> HatResult:
 
 
 def c_of_ell_closed(params: FuzzyParams, ell: int) -> float:
-    """Closed form of the constant relating quantized to hatted harmonics.
+    """Closed form of the constant relating quantized to hatted harmonics,
+    c(l) = (-1)^(j + sigma - l) (2j+1) (2/kappa)^l sqrt((2j-l)! / (2j+l+1)!)
+    (j j l; -sigma sigma 0).
 
-    The overall sign is (-1)^(j + sigma - ell), validated against the
-    empirical entrywise ratio (the printed source formula carries
-    (-1)^(j + sigma - 2 ell), which flips odd-ell values).
+    The sign was validated against the empirical entrywise ratio (the
+    printed source formula carries (-1)^(j + sigma - 2 l), which flips
+    odd-l values).  As (2/kappa)^2 = P / radius^2 with P = 2j (2j+2),
+    c(l) radius^l is one exact radical, rounded once: within 1.5e-16 of the
+    empirical ratio at 2j = 60, 100 and 150, and finite through 2j = 1000.
     """
     tj, ts = params.two_j, params.two_sigma
     if ts == 0:
@@ -359,12 +364,14 @@ def c_of_ell_closed(params: FuzzyParams, ell: int) -> float:
         )
     if not 0 <= ell <= tj:
         raise ValueError(f"ell={ell} outside the band limit 2j={tj}")
-    from .wigner import three_j_twice
-
     sign = parity_sign((tj + ts) // 2 - ell)
-    root = math.sqrt(factorial(tj - ell) / factorial(tj + ell + 1))
-    coupling = three_j_twice(tj, tj, 2 * ell, -ts, ts, 0).to_float()
-    return 2.0**ell * sign * (tj + 1) / params.kappa**ell * root * coupling
+    a, b, f1 = factorial_sqrt((tj - ell,), tj + ell + 1)
+    num, den, f2 = _three_j_parts(((tj, -ts), (tj, ts), (2 * ell, 0)))
+    p = tj * (tj + 2)
+    value = radical_to_float(
+        sign * (tj + 1) * num * a * p ** (ell // 2), den * b, f1 * f2 * p ** (ell % 2)
+    )
+    return value / params.radius**ell
 
 
 def empirical_ratios(params: FuzzyParams, ell: int) -> list[complex]:

@@ -110,14 +110,6 @@ class OperatorMatrix:
     def identity(two_j: int) -> "OperatorMatrix":
         return OperatorMatrix(two_j, np.eye(two_j + 1, dtype=complex), True)
 
-    def index_of(self, two_mu: int) -> int:
-        if (two_mu + self.two_j) % 2 or abs(two_mu) > self.two_j:
-            raise ValueError(f"invalid projection 2mu={two_mu} for 2j={self.two_j}")
-        return (two_mu + self.two_j) // 2
-
-    def entry(self, two_mu_row: int, two_mu_col: int) -> complex:
-        return complex(self.entries[self.index_of(two_mu_row), self.index_of(two_mu_col)])
-
     def _wrap(self, arr: np.ndarray, hermitian: bool = False) -> "OperatorMatrix":
         return OperatorMatrix(self.two_j, arr, hermitian)
 
@@ -166,9 +158,6 @@ class OperatorMatrix:
     def hermitized(self) -> "OperatorMatrix":
         """Average with the adjoint and flag Hermitian."""
         return self._wrap((self.entries + self.entries.conj().T) / 2.0, True)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
 
     def __repr__(self) -> str:
         return f"OperatorMatrix(two_j={self.two_j}, hermitian={self.hermitian})"

@@ -16,7 +16,8 @@ parity bitmasks of the factorials' prime exponents
 (:func:`fuzzsphere.algebra.factorial_sqrt`), in the manner of Johansson and
 Forssen, SIAM J. Sci. Comput. 38 (2016) A376.  It returns (num, den, free)
 with the symbol equal to (num/den) sqrt(free); the exact route and the float
-tables below are two finishers of it.
+tables below are two finishers of it, and the fuzzy-sphere constant
+:func:`fuzzsphere.fuzzy.c_of_ell_closed` folds its parts into one radical.
 
 Exact lookups take twice-valued plain ints (:func:`three_j_twice`; the keyed
 :func:`three_j` delegates to it) and map the symbol to a canonical cache key
@@ -169,7 +170,7 @@ def three_j_cache_info() -> ThreeJCacheInfo:
 
 
 def three_j_cache_clear() -> None:
-    """Empty the 3j cache and the band tables built from it, and reset its
+    """Empty the 3j cache and the band tables, and reset the cache's
     counters."""
     with _CACHE_LOCK:
         _CACHE.clear()

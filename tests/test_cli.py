@@ -131,6 +131,19 @@ def test_quantize_complex_observable_not_symmetrized(tmp_path, capsys):
     assert matrix.hermiticity_residual() > 0.05
 
 
+def test_quantize_inside_band_above_j_is_not_truncated(tmp_path, capsys):
+    # ell = 3 lies between j = 2 and 2j = 4, so the closed form keeps it.
+    code, out, _ = run(
+        capsys, "quantize", "--ylm", "3", "0", "--two-j", "4", "--two-sigma", "2",
+        "-o", str(tmp_path / "y.json"),
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert not any(ln.startswith("truncated=") for ln in lines)
+    dev = float([ln for ln in lines if ln.startswith("closed_form_deviation")][0].split("=")[1])
+    assert dev < 1e-12
+
+
 def test_quantize_beyond_band_truncation_log(tmp_path, capsys):
     target = tmp_path / "z.json"
     code, out, _ = run(

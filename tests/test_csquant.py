@@ -359,8 +359,8 @@ def test_band_table_closed_form_matches_per_entry_loop_bitwise():
             quantize_ylm_closed(p, 1, 2)
 
 
-def test_closed_form_sweep_caches_only_spin_factors():
-    from fuzzsphere.wigner import ThreeJCacheInfo, three_j_cache_clear, three_j_cache_info
+def test_closed_form_sweep_makes_no_exact_lookup():
+    from fuzzsphere.wigner import three_j_cache_clear, three_j_cache_info
 
     p = SshParams(24, 2)
     for _ in range(2):
@@ -368,9 +368,9 @@ def test_closed_form_sweep_caches_only_spin_factors():
         for ell in range(25):
             for m in range(-ell, ell + 1):
                 quantize_ylm_closed(p, ell, m)
-        # One spin factor per ell, read 2 ell + 1 times; the band tables
-        # sum their symbols outside the exact cache.
-        assert three_j_cache_info() == ThreeJCacheInfo(25, 600, 25)
+        # Bands and spin factors both come from the band tables, which sum
+        # their symbols outside the exact cache.
+        assert three_j_cache_info() == (0, 0, 0)
 
 
 def test_closed_form_from_concurrent_cold_sweeps_is_bitwise_sequential():
@@ -447,6 +447,15 @@ def test_quantize_expansion_identity_and_x3():
     res = quantize_expansion(p, HarmonicExpansion.builtin("x3"))
     want = lambda_matrices(p)[2].scaled(cartesian_factor(p))
     assert res.matrix.max_abs_diff(want) < 1e-13
+
+
+def test_quantize_expansion_keeps_harmonics_inside_the_band():
+    # j < ell <= 2j is inside the band: nothing is dropped.
+    p = SshParams(4, 2)
+    res = quantize_expansion(p, HarmonicExpansion({(3, 0): 1}))
+    assert res.truncated == ()
+    assert res.matrix.max_abs() > 0.0
+    assert res.matrix.entries.tobytes() == quantize_ylm_closed(p, 3, 0).entries.tobytes()
 
 
 def test_quantize_expansion_truncation_log():

@@ -460,6 +460,28 @@ def test_c_of_ell_matches_empirical_including_ell0():
             assert abs(ratios[0].imag) < 1e-12
 
 
+def test_c_of_ell_at_large_spin():
+    # One exact radical rounded once: no factor under- or overflows on the
+    # way (the float product of factors read -0.0, NaN or divided by zero
+    # from 2j = 100 on).
+    fp = FuzzyParams(100, 2)
+    for ell in (50, 100):
+        want = empirical_ratios(fp, ell)[0].real
+        assert c_of_ell_closed(fp, ell) == pytest.approx(want, rel=1e-12, abs=0.0)
+    for tj in (150, 200, 1000):
+        c = c_of_ell_closed(FuzzyParams(tj, 2), tj)
+        assert math.isfinite(c) and c != 0.0
+
+
+def test_fuzzy_comparison_makes_no_exact_lookup():
+    from fuzzsphere.cli import _fuzzy_residuals
+    from fuzzsphere.wigner import three_j_cache_clear, three_j_cache_info
+
+    three_j_cache_clear()
+    _fuzzy_residuals(FuzzyParams(8, 2), range(9))
+    assert three_j_cache_info() == (0, 0, 0)
+
+
 def test_c_of_ell_kappa_scaling():
     # C(ell) carries kappa^(-ell): doubling the radius halves kappa-power.
     fp1 = FuzzyParams(4, 2, radius=1.0)

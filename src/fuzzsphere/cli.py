@@ -367,22 +367,25 @@ def _check_closed_vs_quadrature(two_j_max: int):
 
 def _fuzzy_residuals(fp: FuzzyParams, ells, rows: list | None = None):
     """Worst m-spread of the quantized/hatted ratio over ``ells``, and worst
-    distance of a ratio from the closed-form constant.  ``rows``, if given,
-    receives (ell, closed constant, first ratio, spread, distance) per ell."""
+    distance of a ratio from the closed-form constant c(ell), both divided
+    by max(1, |c(ell)|): relative where |c(ell)| grows with 2j, absolute
+    where c(ell) vanishes.  ``rows``, if given, receives (ell, closed
+    constant, first ratio, spread, distance) per ell, scaled alike."""
     spread_worst = 0.0
     closed_worst = 0.0
     for ell in ells:
         ratios = empirical_ratios(fp, ell)
         closed = c_of_ell_closed(fp, ell)
-        spread = max(abs(r - ratios[0]) for r in ratios)
-        dev = max(abs(r - closed) for r in ratios)
+        scale = max(1.0, abs(closed))
+        spread = max(abs(r - ratios[0]) for r in ratios) / scale
+        dev = max(abs(r - closed) for r in ratios) / scale
         if rows is not None:
             rows.append((ell, closed, ratios[0], spread, dev))
         spread_worst = max(spread_worst, spread)
         closed_worst = max(closed_worst, dev)
     return [
-        ("fuzzy_ratio_spread", spread_worst, 1e-9),
-        ("fuzzy_closed_match", closed_worst, 1e-8),
+        ("fuzzy_ratio_spread", spread_worst, 1e-13),
+        ("fuzzy_closed_match", closed_worst, 1e-13),
     ]
 
 

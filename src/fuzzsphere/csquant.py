@@ -18,7 +18,8 @@ the whole product grid, f(theta[:, None], phi[None, :]); the harmonics are
 sampled once per ring of constant theta (:func:`fuzzsphere.ssh.ssh_rings`),
 memoized per (family, grid) so every observable of a family shares them;
 and the Gram sum splits exactly into a phi transform per ring and a sum
-over rings (:func:`fuzzsphere.quad.ring_gram`), both exact float sums.
+over rings (:func:`fuzzsphere.quad.ring_gram`), both fixed-order float sums
+with the same bytes across runs and processes for a given numpy build.
 """
 
 from __future__ import annotations
@@ -128,9 +129,9 @@ def quantize_quadrature(
     On the product grid Y_mu(theta_k, phi_i) = Y_mu(theta_k, 0)
     exp(i mu phi_i), so the harmonics are one memoized array per (family,
     grid) and the sum over nodes runs ring by ring
-    (:func:`fuzzsphere.quad.ring_gram`), exact and bit-reproducible.  No
-    3j-symbol enters, which keeps this route an independent check of the
-    closed form.
+    (:func:`fuzzsphere.quad.ring_gram`) in a fixed order, bit-reproducible
+    for a given numpy build but not correctly rounded.  No 3j-symbol
+    enters, which keeps this route an independent check of the closed form.
     """
     if grid is None:
         grid = _default_grid(params)

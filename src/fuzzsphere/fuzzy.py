@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,6 +53,7 @@ from .wigner import _three_j_parts
 
 __all__ = [
     "HAT_MAP_MAX_TWO_J",
+    "HAT_YLM_MAX_TWO_J",
     "Monomial3",
     "FuzzyParams",
     "HatResult",
@@ -204,8 +206,8 @@ def sym_monomial(two_j: int, exponents: tuple[int, int, int]) -> OperatorMatrix:
 
 
 # Largest 2j at which the generic hat_map still agrees with the exact band
-# form of hat_ylm to within the fuzzy comparison's 1e-9: symmetrized
-# Cartesian monomials cancel, and the worst m-spread of the quantized/hatted
+# form of hat_ylm to within an absolute 1e-9: symmetrized Cartesian
+# monomials cancel, and the worst m-spread of the quantized/hatted
 # ratio over all ell through hat_map is 8.0e-10 at 2j=28 (2 sigma = 2), but
 # 1.1e-9 at 2j=29 (2 sigma = 1), 3.1e-9 at 30 and 3.8e-9 at 31, growing about
 # tenfold per 4 in 2j.
@@ -218,8 +220,8 @@ def hat_map(params: FuzzyParams, poly: list[Monomial3]) -> HatResult:
     into the truncation log.
 
     The working range is 2j <= HAT_MAP_MAX_TWO_J (28); beyond it the
-    symmetrized monomials lose the accuracy the fuzzy comparison needs, so
-    a larger 2j raises ValueError before any symmetrized monomial is built.
+    symmetrized monomials cancel past an absolute 1e-9, so a larger 2j
+    raises ValueError before any symmetrized monomial is built.
     """
     if params.two_j > HAT_MAP_MAX_TWO_J:
         raise ValueError(
@@ -286,8 +288,15 @@ def _ylm_monomials(ell: int, m: int) -> tuple[Monomial3, ...]:
     return tuple(out)
 
 
-# (2j+1)^3 exact integers per 2j (about 70,000 at 2j = 40), hence a bounded
-# cache.
+# (2j+1)^3 exact integers per 2j, whose size grows with 2j: one spin's powers
+# raised the peak resident set of a fresh process by 2.4 MB at 2j = 40,
+# 11 MB at 60, 30 MB at 80, 66 MB at 100 and 128 MB at 120, and a process
+# building them at 2j = 400 was killed for lack of memory.  Hence a bounded
+# cache, and hat_ylm stops at HAT_YLM_MAX_TWO_J, where four cached spins
+# hold under 300 MB.
+HAT_YLM_MAX_TWO_J = 100
+
+
 @functools.lru_cache(maxsize=4)
 def _ladder_powers(two_j: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """A^0, ..., A^(2j) of the integer tridiagonal A = S^-1 (2M) S, and the
@@ -321,15 +330,22 @@ def hat_ylm(params: FuzzyParams, ell: int, m: int) -> HatResult:
     result is the zero matrix with the whole polynomial in the truncation
     log.
 
-    Entry (r + m, r) is sign(a) sqrt((2 ell + 1) / (4 pi)) radius^ell
-    sqrt(Q) for a = A^ell[r + m, r] and the exact rational
-    Q = (ell+m)! (ell-m)! a^2 F[r+m] / ((2j (2j+2))^ell ell!^2 F[r]).  Q
-    is rounded once to a float, and nothing cancels after that, so no range
-    cap applies.
+    Entry (r + m, r) is sign(a) sqrt((2 ell + 1) / (4 pi)) sqrt(Q) for
+    a = A^ell[r + m, r] and the exact rational
+    Q = (ell+m)! (ell-m)! a^2 F[r+m] p^(2 ell) / ((2j (2j+2))^ell ell!^2
+    F[r] q^(2 ell)), with radius = p / q exactly (``float.as_integer_ratio``).
+    Q is rounded once to a float, and nothing cancels after that: at radius
+    1 every nonzero Q lies in [2^-283, 1] for 2j <= 100.  A nonzero Q
+    outside the normal float range (an entry past about 1e154 or below
+    1e-154, from a radius far from 1 at large ell) raises ValueError, and
+    so does 2j above HAT_YLM_MAX_TWO_J (100), where the memoized integer
+    powers outgrow memory.
     """
     if ell < 0 or abs(m) > ell:
         raise ValueError(f"invalid harmonic index (ell={ell}, m={m})")
     tj = params.two_j
+    if tj > HAT_YLM_MAX_TWO_J:
+        raise ValueError(f"hat_ylm works up to 2j={HAT_YLM_MAX_TWO_J}; got 2j={tj}")
     if ell > tj:
         return HatResult(OperatorMatrix.zeros(tj), tuple(ylm_as_polynomial(ell, m)))
     powers, prefix = _ladder_powers(tj)
@@ -337,11 +353,24 @@ def hat_ylm(params: FuzzyParams, ell: int, m: int) -> HatResult:
     # F[r + m] and F[r] along the band, r ascending like a
     rows = prefix[max(m, 0) :][: len(a)]
     cols = prefix[max(-m, 0) :][: len(a)]
-    num = factorial(ell + m) * factorial(ell - m) * rows * a * a
-    den = (tj * (tj + 2)) ** ell * factorial(ell) ** 2 * cols
-    root = np.sqrt((num / den).astype(float))
-    scale = math.sqrt((2 * ell + 1) / (4 * math.pi)) * params.radius**ell
-    band = np.where(a < 0, -scale, scale) * root
+    rad_num, rad_den = float(params.radius).as_integer_ratio()
+    num = factorial(ell + m) * factorial(ell - m) * rad_num ** (2 * ell) * rows * a * a
+    den = (tj * (tj + 2) * rad_den**2) ** ell * factorial(ell) ** 2 * cols
+    try:
+        square = (num / den).astype(float)
+    except OverflowError:
+        square = None
+    # A nonzero Q is at least its value at radius 1, 2^-283 or more, unless
+    # the radius is below 1: only then can one fall under the float range.
+    if square is None or (
+        rad_num < rad_den and ((square < sys.float_info.min) & (a != 0)).any()
+    ):
+        raise ValueError(
+            f"hat_ylm entries at 2j={tj}, ell={ell}, m={m}, "
+            f"radius={params.radius!r} are outside the float range"
+        )
+    scale = math.sqrt((2 * ell + 1) / (4 * math.pi))
+    band = np.where(a < 0, -scale, scale) * np.sqrt(square)
     return HatResult(OperatorMatrix(tj, np.diag(band, -m), hermitian=(m == 0)), ())
 
 
@@ -352,9 +381,11 @@ def c_of_ell_closed(params: FuzzyParams, ell: int) -> float:
 
     The sign was validated against the empirical entrywise ratio (the
     printed source formula carries (-1)^(j + sigma - 2 l), which flips
-    odd-l values).  As (2/kappa)^2 = P / radius^2 with P = 2j (2j+2),
-    c(l) radius^l is one exact radical, rounded once: within 1.5e-16 of the
-    empirical ratio at 2j = 60, 100 and 150, and finite through 2j = 1000.
+    odd-l values).  As (2/kappa)^2 = P / radius^2 with P = 2j (2j+2) and
+    radius = p / q exactly, c(l) is one exact radical, rounded once: within
+    1.5e-16 of the empirical ratio at 2j = 60, 100 and 150, and finite
+    through 2j = 1000 at radius 1.  A nonzero value outside the normal
+    float range raises ValueError.
     """
     tj, ts = params.two_j, params.two_sigma
     if ts == 0:
@@ -368,10 +399,21 @@ def c_of_ell_closed(params: FuzzyParams, ell: int) -> float:
     a, b, f1 = factorial_sqrt((tj - ell,), tj + ell + 1)
     num, den, f2 = _three_j_parts(((tj, -ts), (tj, ts), (2 * ell, 0)))
     p = tj * (tj + 2)
-    value = radical_to_float(
-        sign * (tj + 1) * num * a * p ** (ell // 2), den * b, f1 * f2 * p ** (ell % 2)
-    )
-    return value / params.radius**ell
+    rad_num, rad_den = float(params.radius).as_integer_ratio()
+    try:
+        value = radical_to_float(
+            sign * (tj + 1) * num * a * p ** (ell // 2) * rad_den**ell,
+            den * b * rad_num**ell,
+            f1 * f2 * p ** (ell % 2),
+        )
+    except OverflowError:
+        value = math.inf
+    if num and not sys.float_info.min <= abs(value) < math.inf:
+        raise ValueError(
+            f"c(ell) at 2j={tj}, ell={ell}, radius={params.radius!r} "
+            "is outside the float range"
+        )
+    return value
 
 
 def empirical_ratios(params: FuzzyParams, ell: int) -> list[complex]:

@@ -3,8 +3,9 @@
 Grids are Gauss-Legendre in cos(theta) crossed with the uniform trapezoid
 rule in phi, so band-limited integrands are integrated exactly once the node
 counts clear the polynomial degree and the Nyquist order.  Node ordering is
-fixed and sums are accumulated with exact float summation, so results are
-bit-reproducible for a given grid.
+fixed: :func:`integrate_sphere` sums with exact float summation, and the Gram
+kernels below in a fixed order, so results are bit-reproducible for a given
+grid (and, for the Gram kernels, a given numpy build).
 
 Sphere grids are frozen values built once per distinct grid.  Their ring
 arrays (:meth:`SphereGrid.rings`: the polar angle of each ring of constant
@@ -17,9 +18,12 @@ Two Gram kernels serve quadrature quantization.  :func:`ring_gram` takes a
 basis sampled once per ring whose columns carry consecutive integer phi
 frequencies; the sum over the product grid then splits exactly into a phi
 transform of the integrand per ring and a sum over rings (Driscoll and
-Healy, Adv. Appl. Math. 15 (1994) 202), each level reduced with exact
-``math.fsum``.  :func:`weighted_gram` takes a basis sampled at every node,
-one exact sum per entry, for integrands that do not separate.
+Healy, Adv. Appl. Math. 15 (1994) 202).  :func:`weighted_gram` takes a
+basis sampled at every node, for integrands that do not separate.  Both
+reduce with ``np.einsum`` at its default ``optimize=False``: numpy's own C
+loops in a fixed order, never BLAS, so a Gram matrix has the same bytes
+across runs and processes for a given numpy build.  The sums are ordinary
+float sums, not correctly rounded.
 """
 
 from __future__ import annotations
@@ -70,16 +74,6 @@ def _complex_fsum(values: list[complex]) -> complex:
     return complex(
         math.fsum(v.real for v in values), math.fsum(v.imag for v in values)
     )
-
-
-def _fsum_rows(terms: np.ndarray) -> np.ndarray:
-    """Exact float sum along the last axis of a complex array, real and
-    imaginary parts separately: correctly rounded, independent of BLAS."""
-    flat = terms.reshape(-1, terms.shape[-1])
-    out = np.empty(flat.shape[0], dtype=complex)
-    out.real = list(map(math.fsum, flat.real.tolist()))
-    out.imag = list(map(math.fsum, flat.imag.tolist()))
-    return out.reshape(terms.shape[:-1])
 
 
 class GridRings(NamedTuple):
@@ -160,8 +154,11 @@ def integrate_sphere(
     return _complex_fsum(terms)
 
 
-# Largest term array a Gram kernel reduces at once (64 kB of complex128):
-# larger blocks measured no faster at 2j <= 8 and raise the peak resident set.
+# Largest gather of transform columns the ring level of ring_gram makes at
+# once (64 kB of complex128), in blocks of whole rows.  Blocks from 1k terms
+# to unblocked ran equally fast (closed-vs-quadrature at 2j <= 8, one
+# quadrature at 2j = 40 and 100), but unblocked the traced peak of one
+# quadrature at 2j = 100 grows from 4.3 to 37 MB.
 _BLOCK_TERMS = 1 << 12
 
 
@@ -178,28 +175,22 @@ def ring_gram(basis: np.ndarray, samples: np.ndarray, rings: GridRings) -> np.nd
         F_k(d) = sum_i f_ki exp(i d phi_i),
 
     with F_k taken at the 2 dim - 1 integer differences.  Both levels are
-    exact float sums, so G is bit-reproducible and independent of BLAS.
+    fixed-order ``np.einsum`` reductions (module docstring), so G has the
+    same bytes on every run for a given numpy build.
     """
     basis = np.asarray(basis, dtype=complex)
     samples = np.asarray(samples, dtype=complex)
     n_theta, dim = basis.shape
     phases = np.exp(1j * np.outer(np.arange(1 - dim, dim), rings.phi))
-    # Blocks of whole rings (and of whole rows below) keep each term array
-    # under _BLOCK_TERMS entries.
-    step = max(1, _BLOCK_TERMS // phases.size)
-    transform = np.concatenate([
-        _fsum_rows(samples[k : k + step, None, :] * phases)
-        for k in range(0, n_theta, step)
-    ])
+    transform = np.einsum("ki,di->kd", samples, phases)
     weighted = rings.weight[:, None] * basis.conj()
     # lag[r, c] is the column of F_k holding d = c - r
     lag = np.arange(dim)[None, :] - np.arange(dim)[:, None] + (dim - 1)
     step = max(1, _BLOCK_TERMS // (dim * n_theta))
     return np.concatenate([
-        _fsum_rows(np.moveaxis(
-            weighted[:, r : r + step, None] * basis[:, None, :] * transform[:, lag[r : r + step]],
-            0, -1,
-        ))
+        np.einsum(
+            "kr,kc,krc->rc", weighted[:, r : r + step], basis, transform[:, lag[r : r + step]]
+        )
         for r in range(0, dim, step)
     ])
 
@@ -208,18 +199,13 @@ def weighted_gram(basis: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Matrix G[r, c] = sum_n weights[n] conj(basis[n, r]) basis[n, c].
 
     ``basis`` holds one row of samples per node and ``weights`` one
-    (possibly complex) weight per node.  Each entry is reduced with exact
-    float summation over its real and imaginary parts, so the result is
-    correctly rounded from the term array and does not depend on BLAS.
+    (possibly complex) weight per node.  One fixed-order ``np.einsum``
+    reduction (module docstring), so the result has the same bytes on every
+    run for a given numpy build.
     """
     basis = np.asarray(basis, dtype=complex)
-    weighted = np.asarray(weights, dtype=complex)[:, None] * basis.conj()
-    n_nodes, dim = basis.shape
-    step = max(1, _BLOCK_TERMS // (dim * n_nodes))
-    return np.concatenate([
-        _fsum_rows(np.moveaxis(weighted[:, r : r + step, None] * basis[:, None, :], 0, -1))
-        for r in range(0, dim, step)
-    ])
+    weights = np.asarray(weights, dtype=complex)
+    return np.einsum("n,nr,nc->rc", weights, basis.conj(), basis)
 
 
 @dataclass(frozen=True)

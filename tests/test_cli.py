@@ -358,6 +358,19 @@ def test_fuzzy_compare_runs_past_hat_map_range(capsys):
     assert out.count("ell=") == 30
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--two-j", "8", "--two-sigma", "2", "--radius", "1e-200"), "float range"),
+        (("--two-j", "101", "--two-sigma", "1"), "hat_ylm works up to 2j=100"),
+    ],
+)
+def test_fuzzy_compare_past_its_range_exits_2(capsys, args, message):
+    code, _, err = run(capsys, "fuzzy-compare", *args)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+
+
 def test_classical_limit_cli(capsys):
     code, out, _ = run(
         capsys, "classical-limit", "--two-j", "2", "4", "--two-sigma-offset", "0"

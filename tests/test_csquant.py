@@ -189,6 +189,23 @@ def test_separable_quadrature_matches_brute_force_double_cover():
     assert np.abs(fast.entries - brute_force_quadrature(p, f, grid)).max() <= 1e-13
 
 
+@pytest.mark.parametrize(
+    "two_j, two_sigma, harmonics",
+    [
+        (64, 2, ((0, 0), (1, 1), (32, -7), (64, 64))),
+        (100, -2, ((0, 0), (50, 13), (99, -98), (100, 100))),
+    ],
+)
+def test_closed_form_matches_quadrature_at_large_spin(two_j, two_sigma, harmonics):
+    # Both routes past the verify battery's spins, at its closed-vs-quadrature
+    # tolerance.
+    p = SshParams(two_j, two_sigma)
+    for ell, m in harmonics:
+        f = HarmonicExpansion({(ell, m): 1.0}).evaluate
+        quad = quantize_quadrature(p, f, hermitize=False)
+        assert quantize_ylm_closed(p, ell, m).max_abs_diff(quad) < 1e-10
+
+
 def test_separable_quadrature_matches_brute_force_complex_f():
     p = SshParams(8, -2, psi=1.1)
     f = HarmonicExpansion({(2, 1): 1.0, (3, -2): 0.5 - 0.25j, (4, 0): 0.2}).evaluate

@@ -423,6 +423,32 @@ def test_hat_ylm_builds_no_symmetrized_monomial(monkeypatch):
         hat_ylm(fp, 2, 3)
 
 
+def test_hat_ylm_folds_the_radius_and_rejects_the_float_range():
+    unit = hat_ylm(FuzzyParams(8, 2), 8, 3).matrix.entries
+    got = hat_ylm(FuzzyParams(8, 2, 2.0), 8, 3).matrix.entries
+    assert np.array_equal(got, unit * 2.0**8)
+    for radius in (1e-200, 1e200):
+        with pytest.raises(ValueError, match="outside the float range"):
+            hat_ylm(FuzzyParams(8, 2, radius), 8, 3)
+
+
+def test_hat_ylm_working_range(monkeypatch):
+    top = fuzzy.HAT_YLM_MAX_TWO_J
+    try:
+        hat = hat_ylm(FuzzyParams(top, 2), top, top).matrix
+        assert hat.entries[top, 0] != 0.0
+    finally:
+        fuzzy._ladder_powers.cache_clear()
+
+    def refuse(two_j):
+        raise AssertionError("built the integer powers past the working range")
+
+    monkeypatch.setattr(fuzzy, "_ladder_powers", refuse)
+    for ell in (0, top + 1, top + 3):
+        with pytest.raises(ValueError, match=f"up to 2j={top}"):
+            hat_ylm(FuzzyParams(top + 1, 1), ell, 0)
+
+
 # ------------------------------------------------------------- correspondence
 
 def test_fuzzy_correspondence_entrywise():
@@ -471,6 +497,26 @@ def test_c_of_ell_at_large_spin():
     for tj in (150, 200, 1000):
         c = c_of_ell_closed(FuzzyParams(tj, 2), tj)
         assert math.isfinite(c) and c != 0.0
+
+
+@pytest.mark.parametrize(
+    "two_j, radius", [(1000, 0.6), (400, 0.1), (400, 10.0)]
+)
+def test_c_of_ell_past_the_float_range_raises(two_j, radius):
+    # The radius is folded into the exact radical.  These values lie above
+    # the float range (radius 0.6 and 0.1) or below it (radius 10), and
+    # raise instead of reading -inf or failing inside a float power.
+    with pytest.raises(ValueError, match="outside the float range"):
+        c_of_ell_closed(FuzzyParams(two_j, 2, radius), two_j)
+
+
+def test_c_of_ell_folds_the_radius_exactly():
+    unit = c_of_ell_closed(FuzzyParams(400, 2), 400)
+    # a power of two scales the one rounding exactly
+    assert c_of_ell_closed(FuzzyParams(400, 2, 2.0), 400) == unit / 2.0**400
+    assert c_of_ell_closed(FuzzyParams(400, 2, 0.6), 400) == pytest.approx(
+        unit / 0.6**400, rel=1e-14, abs=0.0
+    )
 
 
 def test_fuzzy_comparison_makes_no_exact_lookup():

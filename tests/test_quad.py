@@ -141,7 +141,14 @@ def test_weighted_gram_matches_naive_sum():
     basis = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
     weights = rng.normal(size=9) + 1j * rng.normal(size=9)
     gram = weighted_gram(basis, weights)
-    naive = np.einsum("n,nr,nc->rc", weights, basis.conj(), basis)
+    # One exact sum per entry, real and imaginary parts apart.
+    naive = np.empty((3, 3), dtype=complex)
+    for r in range(3):
+        for c in range(3):
+            terms = [w * y[r].conjugate() * y[c] for w, y in zip(weights, basis)]
+            naive[r, c] = complex(
+                math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
+            )
     assert np.abs(gram - naive).max() < 1e-13
     assert np.array_equal(gram, weighted_gram(basis, weights))
 

@@ -30,10 +30,13 @@ The closed-form quantization reads whole bands of symbols: the family
 two columns and under m-negation, so one memoized float table per (2j, l)
 (:func:`_three_j_band`) is computed on its canonical quarter only, as for
 precomputed 3j tables (Rasch and Yu, SIAM J. Sci. Comput. 25 (2003) 1416),
-and filled through those symmetries.  Its symbols go straight from the kernel
-to :func:`fuzzsphere.algebra.radical_to_float`, outside the exact cache, and
-each entry is bit for bit the float of its own exact symbol.
-:func:`three_j_cache_clear` empties the tables too.
+and filled through those symmetries.  Along each row the symbols follow the
+three-term recurrence in mu of the J^2 eigenvalue equation (Schulten and
+Gordon, J. Math. Phys. 16 (1975) 1961), run here in exact integers from one
+kernel seed per row, with square roots of factorials memoized per 2j.  Its
+symbols go straight to :func:`fuzzsphere.algebra.radical_to_float`, outside
+the exact cache, and each entry is bit for bit the float of its own exact
+symbol.  :func:`three_j_cache_clear` empties the tables and that memo too.
 """
 
 from __future__ import annotations
@@ -170,12 +173,13 @@ def three_j_cache_info() -> ThreeJCacheInfo:
 
 
 def three_j_cache_clear() -> None:
-    """Empty the 3j cache and the band tables, and reset the cache's
-    counters."""
+    """Empty the 3j cache, the band tables and their factorial roots, and
+    reset the cache's counters."""
     with _CACHE_LOCK:
         _CACHE.clear()
         _COUNTS["hits"] = _COUNTS["misses"] = 0
     _three_j_band.cache_clear()
+    _factorial_pair_roots.cache_clear()
 
 
 def _three_j_parts(cols: tuple[tuple[int, int], ...]) -> tuple[int, int, int]:
@@ -301,6 +305,28 @@ def three_j_twice(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) ->
     return -value if flip else value
 
 
+# 2j+1 pairs of ints per 2j, 0.4 MB at 2j = 1000; a sweep cycles through a
+# few spins, so the bound sits above one such pass.
+@functools.lru_cache(maxsize=8)
+def _factorial_pair_roots(two_j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(alpha, phi) with sqrt(k! (2j-k)!) = alpha[k] / sqrt(phi[k]) and
+    phi[k] square-free, for 0 <= k <= 2j, from
+    :func:`fuzzsphere.algebra.factorial_sqrt`; both are symmetric in k."""
+    # over 0! = 1, factorial_sqrt's (a, b, free) has b = free
+    half = [factorial_sqrt((k, two_j - k), 0)[::2] for k in range(two_j // 2 + 1)]
+    half += reversed(half[: (two_j + 1) // 2])
+    alpha, phi = zip(*half)
+    return alpha, phi
+
+
+def _root_of_product(a: int, b: int, c: int) -> tuple[int, int]:
+    """(g, free) with sqrt(a b c) = g sqrt(free), for square-free a, b, c."""
+    u = math.gcd(a, b)
+    x = (a // u) * (b // u)
+    w = math.gcd(x, c)
+    return u * w, (x // w) * (c // w)
+
+
 # (2l+1) x (2j+1) floats per (2j, l), at most 32 B per distinct symbol: a
 # sweep over every l at 2j = 24, 32 and 40 holds 99 tables (0.96 MB), so
 # the bound sits well above one such cyclic pass.
@@ -309,27 +335,55 @@ def _three_j_band(two_j: int, ell: int) -> np.ndarray:
     """Read-only float table of (-1)^r (j j l; -mu, mu-m, m), mu = -j + r,
     at row l + m and column r, for 0 <= l <= 2j.
 
-    Row m >= 0 is summed (:func:`_three_j_parts`) only for r <= m+2j-r; the
-    column swap mu -> m - mu fills the rest of the row, and m-negation gives
-    row -m as row m reversed, both with the sign (-1)^(2j+l).  Each entry is
-    the float of its own exact symbol, bit for bit: the float finisher
-    rounds the value of num/den, whatever its representation, and negating
-    an exact radical negates its float.  A vanishing symbol reads +0.0
-    before the (-1)^r is folded in, as ``three_j_twice(...).to_float()``
-    gives it.  No entry enters the exact cache.
+    Row m >= 0 is computed only for r <= m+2j-r; the column swap
+    mu -> m - mu fills the rest of the row, and m-negation gives row -m as
+    row m reversed, both with the sign (-1)^(2j+l).  Along the row the
+    symbol is f(r) = K T(r) / sqrt(P(r)), with P(r) = r! (2j-r)! (r-m)!
+    (2j-r+m)!, K constant and T(r) the symbol's Racah sum times
+    (2j-l)! P(r), an integer: each term becomes a binomial times falling
+    factorials.  The J^2 eigenvalue equation gives, with m1 = j - r and
+    m2 = r - j - m (Schulten and Gordon, J. Math. Phys. 16 (1975) 1961),
+
+        (2j-r)(2j-r+m) T(r+1) + [2j(j+1) - l(l+1) + 2 m1 m2] T(r)
+            + r(r-m) T(r-1) = 0,
+
+    so each step is one exact integer division.  At r = m (m2 = -j) the
+    Racah sum has one term, T(m) = (2j-m)! (2j)! / ((l-m)! l!), and K comes
+    from one :func:`_three_j_parts` seed; sqrt(P(r)) comes from the
+    memoized roots of k! (2j-k)! (:func:`_factorial_pair_roots`).  Each entry is the float
+    of its own exact symbol, bit for bit: the float finisher rounds the
+    value of num/den, whatever its representation, and negating an exact
+    radical negates its float.  A vanishing symbol reads +0.0 before the
+    (-1)^r is folded in, as ``three_j_twice(...).to_float()`` gives it.
+    No entry enters the exact cache.
     """
     dim = two_j + 1
     table = np.zeros((2 * ell + 1, dim))
     sign = parity_sign(two_j + ell)
+    alpha, phi = _factorial_pair_roots(two_j)
+    fact = math.factorial
+    casimir = two_j * (two_j + 2) - 2 * ell * (ell + 1)  # twice [2j(j+1) - l(l+1)]
     for m in range(ell + 1):
         row = table[ell + m]
-        for r in range(m, (m + two_j) // 2 + 1):
-            tmu = 2 * r - two_j
-            value = radical_to_float(
-                *_three_j_parts(((two_j, -tmu), (two_j, tmu - 2 * m), (2 * ell, 2 * m)))
-            )
-            row[m + two_j - r] = sign * value
-            row[r] = value
+        num, den, free = _three_j_parts(((two_j, two_j - 2 * m), (two_j, -two_j), (2 * ell, 2 * m)))
+        t_prev, t = 0, fact(two_j - m) * fact(two_j) // (fact(ell - m) * fact(ell))
+        # K = f(m) sqrt(P(m)) / T(m) = (kn / kd) sqrt(kappa)
+        g, kappa = _root_of_product(free, phi[m], phi[0])
+        kn, kd = num * alpha[m] * alpha[0] * g, den * t * phi[m] * phi[0]
+        g = math.gcd(kn, kd)
+        kn, kd = kn // g, kd // g
+        last = (m + two_j) // 2
+        for r in range(m, last + 1):
+            if t:
+                g, f = _root_of_product(kappa, phi[r], phi[r - m])
+                value = radical_to_float(kn * t * g, kd * alpha[r] * alpha[r - m], f)
+                row[m + two_j - r] = sign * value
+                row[r] = value
+            if r == last:
+                break
+            tm1 = two_j - 2 * r
+            c = (casimir - tm1 * (tm1 + 2 * m)) // 2
+            t_prev, t = t, -(c * t + r * (r - m) * t_prev) // ((two_j - r) * (two_j - r + m))
         if m:
             table[ell - m] = sign * row[::-1]
     table += 0.0  # -0.0 -> +0.0

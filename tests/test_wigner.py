@@ -251,8 +251,29 @@ def test_three_j_band_table_is_read_only_and_cleared_with_the_cache():
             tmu = 2 * r - 6
             want = (-1) ** r * three_j_twice(6, 6, 4, -tmu, tmu - 2 * m, 2 * m).to_float()
             assert table[2 + m, r] == want
+    assert _w._factorial_pair_roots.cache_info().currsize > 0
     _w.three_j_cache_clear()
     assert _w._three_j_band.cache_info().currsize == 0
+    assert _w._factorial_pair_roots.cache_info().currsize == 0
+
+
+def test_three_j_band_cold_fill_seeds_each_row_once(monkeypatch):
+    from fuzzsphere import wigner as _w
+
+    calls = []
+    kernel = _w._three_j_parts
+
+    def counted(cols):
+        calls.append(cols)
+        return kernel(cols)
+
+    monkeypatch.setattr(_w, "_three_j_parts", counted)
+    for tj, ell in ((6, 2), (24, 13), (40, 40)):
+        _w.three_j_cache_clear()
+        calls.clear()
+        _w._three_j_band(tj, ell)
+        assert len(calls) == ell + 1, (tj, ell)
+    _w.three_j_cache_clear()
 
 
 def _band_by_exact_lookups(tj, ell):
@@ -272,6 +293,8 @@ def test_three_j_band_matches_exact_lookups_bitwise():
 
     cases = [(tj, range(tj + 1)) for tj in range(41)]
     cases += [(tj, (0, 1, tj // 3, tj - 1, tj)) for tj in (64, 100)]
+    # the recurrence through nontrivial zeros, and at large spin
+    cases += [(28, (20,)), (52, (4,)), (56, (7,)), (72, (8,)), (200, (1, 3))]
     for tj, ells in cases:
         for ell in ells:
             # bytes, so that signed zeros must agree too

@@ -30,7 +30,6 @@ from .fuzzy import (
     hat_ylm,
     sym_monomial,
     sym_product,
-    symmetrization_commutator_check,
     ylm_as_polynomial,
 )
 from .quad import PlaneGrid, SphereGrid, SpherePoint, integrate_sphere

@@ -8,6 +8,7 @@ output files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import re
 import sys
@@ -28,10 +29,12 @@ from .csquant import (
 )
 from .fuzzy import (
     FuzzyParams,
+    Monomial3,
+    apply_orbital_generator,
     c_of_ell_closed,
     classical_limit_report,
     empirical_ratios,
-    symmetrization_commutator_check,
+    sym_monomial,
 )
 from .quad import SphereGrid, SpherePoint
 from .ssh import OperatorMatrix, SshParams, lambda_matrices, ssh_eval, ssh_rings
@@ -398,18 +401,25 @@ def _check_fuzzy(two_j_max: int):
 
 
 def _check_appendix_b(_: int):
+    # [Lambda_a, Sym(P)] = Sym(L_a P) for each generator monomial P, with
+    # L_a P from the polynomial-level orbital action, which is spin-free.
+    cases = [
+        (expo, axis, apply_orbital_generator(axis, [Monomial3(*expo, 1.0)]))
+        for expo in itertools.product(range(6), repeat=3)
+        if 0 < sum(expo) <= 5
+        for axis in (1, 2, 3)
+    ]
     worst = 0.0
     for tjr in _SPANS["symmetrized_commutator"]:
-        for a1 in range(0, 6):
-            for a2 in range(0, 6):
-                for a3 in range(0, 6):
-                    if not 0 < a1 + a2 + a3 <= 5:
-                        continue
-                    for axis in (1, 2, 3):
-                        worst = max(
-                            worst,
-                            symmetrization_commutator_check(tjr, (a1, a2, a3), axis),
-                        )
+        lams = lambda_matrices(SshParams(tjr, tjr % 2))
+        for expo, axis, image in cases:
+            shifted = sum(
+                mono.coefficient
+                * sym_monomial(tjr, (mono.alpha, mono.beta, mono.gamma)).entries
+                for mono in image
+            )
+            comm = lams[axis - 1].commutator(sym_monomial(tjr, expo)).entries
+            worst = max(worst, float(np.linalg.norm(shifted - comm)))
     return [("symmetrized_commutator", worst, 1e-12)]
 
 

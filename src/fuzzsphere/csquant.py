@@ -186,7 +186,7 @@ def quantize_ylm_closed(params: SshParams, ell: int, m: int) -> OperatorMatrix:
     entries.reshape(-1)[start : start + (hi - lo) * (dim + 1) : dim + 1] = (
         parity_sign(r) * scale * band
     )
-    return OperatorMatrix(tj, entries, hermitian=(m == 0))
+    return OperatorMatrix(tj, entries)
 
 
 @dataclass(frozen=True)

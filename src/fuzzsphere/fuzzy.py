@@ -64,7 +64,6 @@ __all__ = [
     "hat_ylm",
     "c_of_ell_closed",
     "empirical_ratios",
-    "symmetrization_commutator_check",
     "classical_limit_report",
     "apply_orbital_generator",
 ]
@@ -371,7 +370,7 @@ def hat_ylm(params: FuzzyParams, ell: int, m: int) -> HatResult:
         )
     scale = math.sqrt((2 * ell + 1) / (4 * math.pi))
     band = np.where(a < 0, -scale, scale) * np.sqrt(square)
-    return HatResult(OperatorMatrix(tj, np.diag(band, -m), hermitian=(m == 0)), ())
+    return HatResult(OperatorMatrix(tj, np.diag(band, -m)), ())
 
 
 def c_of_ell_closed(params: FuzzyParams, ell: int) -> float:
@@ -426,35 +425,6 @@ def empirical_ratios(params: FuzzyParams, ell: int) -> list[complex]:
         idx = np.unravel_index(np.argmax(np.abs(hat.entries)), hat.entries.shape)
         out.append(complex(tilde.entries[idx] / hat.entries[idx]))
     return out
-
-
-_EPS = {(1, 2): 3, (2, 3): 1, (3, 1): 2, (2, 1): -3, (3, 2): -1, (1, 3): -2}
-
-
-def symmetrization_commutator_check(
-    two_j_rep: int, exponents: tuple[int, int, int], axis: int = 3
-) -> float:
-    """Frobenius residual between symmetrize-then-commute and
-    commute-then-symmetrize for one generator monomial."""
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1, 2, or 3, got {axis}")
-    lams = lambda_matrices(SshParams(two_j_rep, two_j_rep % 2))
-    # Commuting one factor through swaps it to the third axis with a factor
-    # of +-i; symmetrizing the expansion groups into two shifted monomials.
-    dim = two_j_rep + 1
-    lhs = np.zeros((dim, dim), dtype=complex)
-    for b in (1, 2, 3):
-        if b == axis or exponents[b - 1] == 0:
-            continue
-        c = _EPS[(axis, b)]
-        sgn = 1 if c > 0 else -1
-        c = abs(c)
-        shifted = list(exponents)
-        shifted[b - 1] -= 1
-        shifted[c - 1] += 1
-        lhs += exponents[b - 1] * (1j * sgn) * sym_monomial(two_j_rep, shifted).entries
-    rhs = lams[axis - 1].commutator(sym_monomial(two_j_rep, exponents)).entries
-    return float(np.linalg.norm(lhs - rhs))
 
 
 def apply_orbital_generator(axis: int, poly: list[Monomial3]) -> list[Monomial3]:

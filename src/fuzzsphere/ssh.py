@@ -91,27 +91,26 @@ class OperatorMatrix:
     row index = (2mu + 2j)/2.  Instances are treated as immutable values.
     """
 
-    __slots__ = ("two_j", "entries", "hermitian")
+    __slots__ = ("two_j", "entries")
 
-    def __init__(self, two_j: int, entries: np.ndarray, hermitian: bool = False):
+    def __init__(self, two_j: int, entries: np.ndarray):
         dim = two_j + 1
         entries = np.asarray(entries, dtype=complex)
         if entries.shape != (dim, dim):
             raise ValueError(f"expected shape {(dim, dim)}, got {entries.shape}")
         self.two_j = two_j
         self.entries = entries
-        self.hermitian = hermitian
 
     @staticmethod
     def zeros(two_j: int) -> "OperatorMatrix":
-        return OperatorMatrix(two_j, np.zeros((two_j + 1, two_j + 1), dtype=complex), True)
+        return OperatorMatrix(two_j, np.zeros((two_j + 1, two_j + 1), dtype=complex))
 
     @staticmethod
     def identity(two_j: int) -> "OperatorMatrix":
-        return OperatorMatrix(two_j, np.eye(two_j + 1, dtype=complex), True)
+        return OperatorMatrix(two_j, np.eye(two_j + 1, dtype=complex))
 
-    def _wrap(self, arr: np.ndarray, hermitian: bool = False) -> "OperatorMatrix":
-        return OperatorMatrix(self.two_j, arr, hermitian)
+    def _wrap(self, arr: np.ndarray) -> "OperatorMatrix":
+        return OperatorMatrix(self.two_j, arr)
 
     def _check(self, other: "OperatorMatrix") -> None:
         if self.two_j != other.two_j:
@@ -135,7 +134,7 @@ class OperatorMatrix:
         return self._wrap(c * self.entries)
 
     def dagger(self) -> "OperatorMatrix":
-        return self._wrap(self.entries.conj().T, self.hermitian)
+        return self._wrap(self.entries.conj().T)
 
     def commutator(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._check(other)
@@ -156,11 +155,11 @@ class OperatorMatrix:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
     def hermitized(self) -> "OperatorMatrix":
-        """Average with the adjoint and flag Hermitian."""
-        return self._wrap((self.entries + self.entries.conj().T) / 2.0, True)
+        """Average with the adjoint."""
+        return self._wrap((self.entries + self.entries.conj().T) / 2.0)
 
     def __repr__(self) -> str:
-        return f"OperatorMatrix(two_j={self.two_j}, hermitian={self.hermitian})"
+        return f"OperatorMatrix(two_j={self.two_j})"
 
 
 def _prefactor(params: SshParams) -> complex:
@@ -239,9 +238,9 @@ def _generators(two_j: int) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMat
     lm = lp.conj().T
     l3 = np.diag(np.arange(-two_j, two_j + 1, 2) / 2.0).astype(complex)
     out = (
-        OperatorMatrix(two_j, (lp + lm) / 2.0, True),
-        OperatorMatrix(two_j, (lp - lm) / 2j, True),
-        OperatorMatrix(two_j, l3, True),
+        OperatorMatrix(two_j, (lp + lm) / 2.0),
+        OperatorMatrix(two_j, (lp - lm) / 2j),
+        OperatorMatrix(two_j, l3),
     )
     for op in out:
         op.entries.flags.writeable = False

@@ -19,7 +19,6 @@ from fuzzsphere.fuzzy import (
     hat_ylm,
     sym_monomial,
     sym_product,
-    symmetrization_commutator_check,
     ylm_as_polynomial,
 )
 from fuzzsphere.quad import SpherePoint
@@ -547,10 +546,19 @@ def test_c_of_ell_rejects_sigma0_and_band():
 
 # -------------------------------------------------- symmetrization lemma
 
-def test_symmetrization_commutator_examples():
-    assert symmetrization_commutator_check(2, (1, 0, 0), 3) == 0.0
-    assert symmetrization_commutator_check(2, (1, 1, 0), 3) < 1e-13
-    assert symmetrization_commutator_check(3, (2, 2, 1), 3) < 1e-12
+def test_symmetrization_lemma_check_fails_on_a_wrong_orbital_action(monkeypatch):
+    from fuzzsphere import cli
+
+    def negated(axis, poly):
+        return [
+            Monomial3(m.alpha, m.beta, m.gamma, -m.coefficient)
+            for m in apply_orbital_generator(axis, poly)
+        ]
+
+    monkeypatch.setattr(cli, "apply_orbital_generator", negated)
+    [(name, residual, tol)] = cli._check_appendix_b(0)
+    assert name == "symmetrized_commutator"
+    assert tol == 1e-12 < residual
 
 
 def test_commutation_relations_scaled_generators():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fuzzsphere.algebra import HalfInt, radical
+from fuzzsphere.algebra import HalfInt, parity_sign, radical
 from fuzzsphere.wigner import (
     D_MATRIX_MAX_TWO_J,
     Su2Element,
@@ -137,6 +137,36 @@ def test_three_j_symmetries_exact_up_to_j2():
                         assert swapped.scaled(sign) == v
                         negated = three_j_twice(tj1, tj2, tj3, -tm1, -tm2, -tm3)
                         assert negated.scaled(sign) == v
+
+
+def test_racah_kernel_symmetries_up_to_2j_6():
+    # Lookups of the images above share one canonical cache entry, so they
+    # test the cache's sign rule; here the Racah kernel sums every image.
+    from fuzzsphere import wigner as _w
+
+    evaluations = 0
+    for tjs in itertools.product(range(7), repeat=3):
+        tj1, tj2, tj3 = tjs
+        if sum(tjs) % 2 or not abs(tj1 - tj2) <= tj3 <= tj1 + tj2:
+            continue
+        sign = parity_sign(sum(tjs) // 2)
+        for tm1 in range(-tj1, tj1 + 1, 2):
+            for tm2 in range(-tj2, tj2 + 1, 2):
+                tm3 = -tm1 - tm2
+                if abs(tm3) > tj3:
+                    continue
+                cols = ((tj1, tm1), (tj2, tm2), (tj3, tm3))
+                num, den, free = _w._three_j_parts(cols)
+                for perm in itertools.permutations(range(3)):
+                    # the odd permutations, the swaps, fix exactly one column
+                    odd_perm = sum(i == p for i, p in enumerate(perm)) == 1
+                    for flip in (1, -1):
+                        image = tuple((cols[i][0], flip * cols[i][1]) for i in perm)
+                        n, d, f = _w._three_j_parts(image)
+                        want = num * sign if odd_perm != (flip == -1) else num
+                        assert (Fraction(n, d), f) == (Fraction(want, den), free), image
+                        evaluations += 1
+    assert evaluations == 16_608
 
 
 def test_three_j_cache_thread_safety():

@@ -29,27 +29,16 @@ from .fuzzy import (
     hat_map,
     hat_ylm,
     sym_monomial,
-    sym_product,
     ylm_as_polynomial,
 )
-from .quad import PlaneGrid, SphereGrid, SpherePoint, integrate_sphere
-from .specfun import JacobiParams, jacobi
+from .quad import PlaneGrid, SphereGrid, SpherePoint
 from .ssh import (
     OperatorMatrix,
     SshParams,
     lambda_matrices,
     rotation_operator,
-    ssh_conjugation_check,
     ssh_eval,
 )
-from .wigner import (
-    Su2Element,
-    ThreeJKey,
-    su2_from_rotation,
-    three_j,
-    three_j_cache_info,
-    three_j_twice,
-    wigner_D,
-)
+from .wigner import Su2Element, su2_from_rotation, three_j_twice, wigner_D
 
 __version__ = "0.1.0"

@@ -63,7 +63,9 @@ def save_matrix(m: OperatorMatrix, path: Path, fmt: str, two_sigma: int = 0) -> 
 
     Both formats carry two_j and two_sigma; csv puts them on a leading
     ``# two_j=.. two_sigma=..`` line above the ``row,col,re,im`` table.
+    A pair that names no spin family raises ValueError, as on reading.
     """
+    SshParams(m.two_j, two_sigma)
     dim = m.two_j + 1
     # Row-major entries as Python floats, so formatting skips numpy scalars.
     pairs = zip(m.entries.real.ravel().tolist(), m.entries.imag.ravel().tolist())
@@ -88,8 +90,9 @@ def save_matrix(m: OperatorMatrix, path: Path, fmt: str, two_sigma: int = 0) -> 
 def load_matrix(path: Path) -> tuple[OperatorMatrix, int]:
     """Read a matrix file (json or csv by content); returns (matrix, two_sigma).
 
-    Malformed files raise ValueError: a shape that disagrees with two_j, or
-    a csv cell that is missing, repeated or out of range.
+    Malformed files raise ValueError: a shape that disagrees with two_j, a
+    csv cell that is missing, repeated or out of range, a (two_j, two_sigma)
+    pair that :class:`SshParams` refuses, or a non-finite entry.
     """
     import json
 
@@ -106,7 +109,7 @@ def load_matrix(path: Path) -> tuple[OperatorMatrix, int]:
             raise ValueError(f"{path}: rows={dim} but two_j={two_j} needs {two_j + 1}")
         if len(values) != dim * dim:
             raise ValueError(f"{path}: {len(values)} entries, expected {dim * dim}")
-        return OperatorMatrix(two_j, np.array(values).reshape(dim, dim)), two_sigma
+        return _checked_matrix(path, two_j, two_sigma, np.array(values).reshape(dim, dim))
 
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     meta = _CSV_META.fullmatch(lines[0]) if lines else None
@@ -137,6 +140,21 @@ def load_matrix(path: Path) -> tuple[OperatorMatrix, int]:
             (r, c) for r in range(dim) for c in range(dim) if (r, c) not in seen
         )
         raise ValueError(f"{path}: {dim * dim - len(seen)} cells missing, first {missing}")
+    return _checked_matrix(path, two_j, two_sigma, arr)
+
+
+def _checked_matrix(
+    path: Path, two_j: int, two_sigma: int, arr: np.ndarray
+) -> tuple[OperatorMatrix, int]:
+    """The file's matrix and two_sigma, once the labels name a spin family
+    and every entry is finite."""
+    try:
+        SshParams(two_j, two_sigma)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        raise ValueError(f"{path}: non-finite entry at cell {tuple(bad[0].tolist())}")
     return OperatorMatrix(two_j, arr), two_sigma
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import parity_sign
 from .quad import SpherePoint
 from .wigner import Su2Element, su2_from_rotation, wigner_D_columns, wigner_D_matrix
 
@@ -33,7 +32,6 @@ __all__ = [
     "lambda_minus",
     "rotation_operator",
     "family_rotation_element",
-    "ssh_conjugation_check",
 ]
 
 FOUR_PI = 4 * math.pi
@@ -263,14 +261,3 @@ def family_rotation_element(axis, angle: float) -> Su2Element:
     operators transform exactly with it for every sigma.
     """
     return su2_from_rotation(axis, angle).conjugate_element()
-
-
-def ssh_conjugation_check(params: SshParams, two_mu: int, x: SpherePoint) -> float:
-    """Residual of the conjugation symmetry relating (sigma, mu) to
-    (-sigma, -mu), evaluated at psi = 0."""
-    base = SshParams(params.two_j, params.two_sigma, 0.0)
-    flipped = SshParams(params.two_j, -params.two_sigma, 0.0)
-    lhs = ssh_eval(base, two_mu, x).conjugate()
-    sign = parity_sign((params.two_sigma - two_mu) // 2)
-    rhs = sign * ssh_eval(flipped, -two_mu, x)
-    return abs(lhs - rhs)

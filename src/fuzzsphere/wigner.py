@@ -20,10 +20,11 @@ tables below are two finishers of it, and the fuzzy-sphere constant
 :func:`fuzzsphere.fuzzy.c_of_ell_closed` folds its parts into one radical.
 
 Exact lookups take twice-valued plain ints (:func:`three_j_twice`; the keyed
-:func:`three_j` delegates to it) and map the symbol to a canonical cache key
-by sorting its columns, with the permutation's parity giving the sign.  The
-cache is safe for concurrent use and counts its hits and misses
-(:func:`three_j_cache_info`).
+:func:`three_j` delegates to it) and memoize each symbol under its six ints
+as given, filled from the kernel on the columns in that order; the memo
+counts its hits and misses (:func:`three_j_cache_info`).  Column images of
+a symbol are separate entries, each summed on its own columns, so the
+symmetry relations between them test the kernel.
 
 The closed-form quantization reads whole bands of symbols: the family
 (j j l; -mu, mu-m, m) at fixed (2j, l) is closed under the swap of its first
@@ -44,7 +45,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -150,10 +150,9 @@ class ThreeJKey:
         )
 
 
-_CACHE: dict[tuple[tuple[int, int], ...], ExactRadical] = {}
-_CACHE_LOCK = threading.Lock()
-# Lookups that found their canonical key cached, and lookups that did not;
-# both are counted under _CACHE_LOCK.
+# Keyed by (tj1, tj2, tj3, tm1, tm2, tm3) as passed to three_j_twice.
+_CACHE: dict[tuple[int, ...], ExactRadical] = {}
+# Lookups that found their symbol cached, and lookups that did not.
 _COUNTS = {"hits": 0, "misses": 0}
 
 
@@ -167,17 +166,16 @@ class ThreeJCacheInfo(NamedTuple):
 
 def three_j_cache_info() -> ThreeJCacheInfo:
     """Size of the 3j cache and its hit and miss counts since the last
-    :func:`three_j_cache_clear`."""
-    with _CACHE_LOCK:
-        return ThreeJCacheInfo(len(_CACHE), _COUNTS["hits"], _COUNTS["misses"])
+    :func:`three_j_cache_clear`.  The counts are exact for one thread;
+    concurrent lookups may lose increments."""
+    return ThreeJCacheInfo(len(_CACHE), _COUNTS["hits"], _COUNTS["misses"])
 
 
 def three_j_cache_clear() -> None:
     """Empty the 3j cache, the band tables and their factorial roots, and
     reset the cache's counters."""
-    with _CACHE_LOCK:
-        _CACHE.clear()
-        _COUNTS["hits"] = _COUNTS["misses"] = 0
+    _CACHE.clear()
+    _COUNTS["hits"] = _COUNTS["misses"] = 0
     _three_j_band.cache_clear()
     _factorial_pair_roots.cache_clear()
 
@@ -238,31 +236,6 @@ def _three_j_raw(cols: tuple[tuple[int, int], ...]) -> ExactRadical:
     return ExactRadical(Fraction(num, den), free)
 
 
-def _sort3(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]):
-    """The three columns in ascending order, and whether the sorting
-    permutation is odd.  With two equal columns it is taken as even, since
-    an extra swap of the equal pair changes nothing."""
-    odd = False
-    if a > b:
-        a, b, odd = b, a, not odd
-    if b > c:
-        b, c, odd = c, b, not odd
-    if a > b:
-        a, b, odd = b, a, not odd
-    if a == b or b == c:
-        odd = False
-    return (a, b, c), odd
-
-
-def _canonical(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int):
-    """Cache key of a symbol and whether the symbol is minus the key's."""
-    key, odd = _sort3((tj1, tm1), (tj2, tm2), (tj3, tm3))
-    negated, negated_odd = _sort3((tj1, -tm1), (tj2, -tm2), (tj3, -tm3))
-    if negated < key:
-        key, odd = negated, not negated_odd
-    return key, odd and (tj1 + tj2 + tj3) % 4 == 2
-
-
 def three_j_twice(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) -> ExactRadical:
     """Exact 3j-symbol (j1 j2 j3; m1 m2 m3) from twice-valued arguments.
 
@@ -271,12 +244,10 @@ def three_j_twice(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) ->
     projection lies outside its spin's range.  Negative spins and a
     projection of the wrong parity for its spin are domain errors.
 
-    Values are cached under the canonical image of the column symmetries,
-    the smaller of the sorted columns and the sorted m-negated columns;
-    odd column permutations and m-negation each contribute (-1)^(j1+j2+j3).
-    When two columns coincide the permutation's parity is ambiguous, but
-    then the symbol has the same sign either way or vanishes.  The cache
-    is safe for concurrent use; see :func:`three_j_cache_info`.
+    Values are memoized under the six ints as given, each computed by
+    :func:`_three_j_parts` on the columns in that order; see
+    :func:`three_j_cache_info`.  Concurrent callers may compute one entry
+    twice, with identical values.
     """
     if (tj1 - tm1) % 2 or (tj2 - tm2) % 2 or (tj3 - tm3) % 2:
         for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
@@ -294,15 +265,14 @@ def three_j_twice(tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int) ->
     ):
         return RADICAL_ZERO
 
-    key, flip = _canonical(tj1, tj2, tj3, tm1, tm2, tm3)
-    with _CACHE_LOCK:
-        value = _CACHE.get(key)
-        _COUNTS["misses" if value is None else "hits"] += 1
+    key = (tj1, tj2, tj3, tm1, tm2, tm3)
+    value = _CACHE.get(key)
     if value is None:
-        value = _three_j_raw(key)
-        with _CACHE_LOCK:
-            _CACHE[key] = value
-    return -value if flip else value
+        _COUNTS["misses"] += 1
+        value = _CACHE[key] = _three_j_raw(((tj1, tm1), (tj2, tm2), (tj3, tm3)))
+    else:
+        _COUNTS["hits"] += 1
+    return value
 
 
 # 2j+1 pairs of ints per 2j, 0.4 MB at 2j = 1000; a sweep cycles through a

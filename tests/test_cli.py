@@ -220,8 +220,8 @@ def test_save_matrix_bytes_match_per_entry_rendering(tmp_path):
     for m in matrices:
         for fmt in ("json", "csv"):
             path = tmp_path / f"m.{fmt}"
-            save_matrix(m, path, fmt, two_sigma=-3)
-            assert path.read_bytes() == _per_entry_rendering(m, fmt, -3).encode()
+            save_matrix(m, path, fmt, two_sigma=-4)
+            assert path.read_bytes() == _per_entry_rendering(m, fmt, -4).encode()
 
 
 def test_csv_round_trip_keeps_two_sigma(tmp_path):
@@ -293,6 +293,41 @@ def test_json_rows_two_j_mismatch_rejected(tmp_path, capsys):
     data["two_j"] = 3
     path.write_text(json.dumps(data))
     _assert_rejected(capsys, tmp_path, path, "rows=3")
+
+
+def _json_file(tmp_path, **fields):
+    path = tmp_path / "m.json"
+    save_matrix(OperatorMatrix.identity(2), path, "json", two_sigma=2)
+    data = json.loads(path.read_text())
+    data.update(fields)
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_json_negative_spin_rejected(tmp_path, capsys):
+    path = _json_file(tmp_path, two_j=-1, rows=0, entries=[])
+    _assert_rejected(capsys, tmp_path, path, "negative spin")
+
+
+def test_inadmissible_two_sigma_rejected(tmp_path, capsys):
+    path = _json_file(tmp_path, two_sigma=5)
+    _assert_rejected(capsys, tmp_path, path, "exceeds 2j=2")
+    path, lines = _csv_lines(tmp_path)
+    path.write_text("\n".join(["# two_j=1 two_sigma=0"] + lines[1:]) + "\n")
+    _assert_rejected(capsys, tmp_path, path, "parity differs")
+    with pytest.raises(ValueError, match="exceeds 2j=2"):
+        save_matrix(OperatorMatrix.identity(2), tmp_path / "s.json", "json", two_sigma=4)
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_non_finite_entry_rejected(tmp_path, capsys):
+    path = _json_file(tmp_path)
+    # json reads an out-of-range literal as inf
+    path.write_text(path.read_text().replace("[1, 0]", "[1e999, 0]", 1))
+    _assert_rejected(capsys, tmp_path, path, "non-finite entry at cell")
+    path, lines = _csv_lines(tmp_path)
+    path.write_text("\n".join(lines[:-1] + ["1,1,1,nan"]) + "\n")
+    _assert_rejected(capsys, tmp_path, path, "non-finite entry at cell")
 
 
 def test_arithmetic_error_exits_2(monkeypatch, capsys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fuzzsphere.algebra import binomial
+from fuzzsphere.algebra import binomial, parity_sign
 from fuzzsphere.quad import SpherePoint
 from fuzzsphere.ssh import (
     OperatorMatrix,
@@ -18,7 +18,6 @@ from fuzzsphere.ssh import (
     lambda_plus,
     rotation_operator,
     ssh_column,
-    ssh_conjugation_check,
     ssh_eval,
     ssh_rings,
 )
@@ -47,6 +46,17 @@ def ssh_by_sum(p: SshParams, two_mu: int, x: SpherePoint) -> complex:
     )
     d = wigner_D_sum(p.two_j, two_mu, p.two_sigma, Su2Element(x.theta / 2, 0.0, math.pi / 2))
     return phase * math.sqrt((p.two_j + 1) / FOUR_PI) * d
+
+
+def ssh_conjugation_check(params: SshParams, two_mu: int, x: SpherePoint) -> float:
+    """Residual of the conjugation symmetry relating (sigma, mu) to
+    (-sigma, -mu), evaluated at psi = 0."""
+    base = SshParams(params.two_j, params.two_sigma, 0.0)
+    flipped = SshParams(params.two_j, -params.two_sigma, 0.0)
+    lhs = ssh_eval(base, two_mu, x).conjugate()
+    sign = parity_sign((params.two_sigma - two_mu) // 2)
+    rhs = sign * ssh_eval(flipped, -two_mu, x)
+    return abs(lhs - rhs)
 
 
 def spin_pairs(two_j_max):

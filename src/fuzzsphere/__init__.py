@@ -28,7 +28,6 @@ from .fuzzy import (
     classical_limit_report,
     hat_map,
     hat_ylm,
-    sym_monomial,
     ylm_as_polynomial,
 )
 from .quad import PlaneGrid, SphereGrid, SpherePoint

@@ -34,7 +34,7 @@ from .fuzzy import (
     c_of_ell_closed,
     classical_limit_report,
     empirical_ratios,
-    sym_monomial,
+    sym_monomials,
 )
 from .quad import SphereGrid, SpherePoint
 from .ssh import OperatorMatrix, SshParams, lambda_matrices, ssh_eval, ssh_rings
@@ -63,9 +63,12 @@ def save_matrix(m: OperatorMatrix, path: Path, fmt: str, two_sigma: int = 0) -> 
 
     Both formats carry two_j and two_sigma; csv puts them on a leading
     ``# two_j=.. two_sigma=..`` line above the ``row,col,re,im`` table.
-    A pair that names no spin family raises ValueError, as on reading.
+    A pair that names no spin family, or a non-finite entry, raises
+    ValueError before anything is written, as on reading.
     """
     SshParams(m.two_j, two_sigma)
+    if not np.isfinite(m.entries).all():
+        raise ValueError(f"refusing to write a non-finite entry to {path}")
     dim = m.two_j + 1
     # Row-major entries as Python floats, so formatting skips numpy scalars.
     pairs = zip(m.entries.real.ravel().tolist(), m.entries.imag.ravel().tolist())
@@ -430,13 +433,14 @@ def _check_appendix_b(_: int):
     worst = 0.0
     for tjr in _SPANS["symmetrized_commutator"]:
         lams = lambda_matrices(SshParams(tjr, tjr % 2))
+        # L_a P has the degree of P, so these triples cover every image too
+        syms = sym_monomials(tjr, (expo for expo, _, _ in cases))
         for expo, axis, image in cases:
             shifted = sum(
-                mono.coefficient
-                * sym_monomial(tjr, (mono.alpha, mono.beta, mono.gamma)).entries
+                mono.coefficient * syms[mono.alpha, mono.beta, mono.gamma].entries
                 for mono in image
             )
-            comm = lams[axis - 1].commutator(sym_monomial(tjr, expo)).entries
+            comm = lams[axis - 1].commutator(syms[expo]).entries
             worst = max(worst, float(np.linalg.norm(shifted - comm)))
     return [("symmetrized_commutator", worst, 1e-12)]
 

@@ -29,9 +29,9 @@ with Sym(L1^a L2^b L3^c) = a! b! c! / n! T(a,b,c) for n = a+b+c.  It is run
 in that normalized form, n Sym(a,b,c) = a L1 Sym(a-1,b,c) + b L2 Sym(a,b-1,c)
 + c L3 Sym(a,b,c-1), so entries stay of order j^n.  Sym(a,b,c) needs every
 exponent triple of its box (a+1)(b+1)(c+1), filled in lexicographic order.
-The generators depend on 2j alone, so one memo per 2j, filled box by box
-and kept for a few spins, serves every sigma and polynomial;
-:func:`sym_product` runs the same fill on a fresh memo of arbitrary factors.
+:func:`sym_monomials` fills the union of the boxes asked for into one dict
+per call and keeps nothing; :func:`sym_product` runs the same fill for
+arbitrary factors.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import functools
 import itertools
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,7 +58,7 @@ __all__ = [
     "FuzzyParams",
     "HatResult",
     "sym_product",
-    "sym_monomial",
+    "sym_monomials",
     "hat_map",
     "ylm_as_polynomial",
     "hat_ylm",
@@ -93,8 +93,8 @@ class FuzzyParams:
 
     def __post_init__(self) -> None:
         SshParams(self.two_j, self.two_sigma)
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if self.two_j == 0:
             raise ValueError("fuzzy construction needs 2j >= 1")
 
@@ -139,8 +139,7 @@ def _sym_fill(factors: Sequence[np.ndarray], counts: tuple, memo: dict) -> np.nd
     """Sym(counts), after filling every vector of the box below it that the
     memo (count vector -> read-only array, seeded with the zero vector)
     lacks.  Lexicographic order reaches each vector after those one factor
-    below it, with no recursion; concurrent callers may compute one entry
-    twice, with identical bytes.  A vector is stored after its whole box,
+    below it, with no recursion.  A vector is stored after its whole box,
     so a stored one returns at once."""
     if counts in memo:
         return memo[counts]
@@ -180,28 +179,21 @@ def sym_product(operators: list[OperatorMatrix]) -> OperatorMatrix:
     return OperatorMatrix(two_j, _sym_fill(factors, tuple(counts), memo).copy())
 
 
-# The generators depend on 2j alone, so one memo serves every sigma and
-# harmonic.  It holds the union of the boxes asked for, at most C(n+3, 3)
-# matrices up to degree n: 14 MB at 2j = n = 20 and 63 MB at 2j = n = 28,
-# the hat_map cap (traced allocations), hence only a few spins are kept.
-@functools.lru_cache(maxsize=4)
-def _monomial_memo(two_j: int) -> tuple[tuple[np.ndarray, ...], dict]:
-    """(L1, L2, L3) on the spin-j space and the memo of their symmetrized
-    monomials, seeded with a read-only identity."""
-    lams = tuple(lam.entries for lam in lambda_matrices(SshParams(two_j, two_j % 2)))
+def sym_monomials(
+    two_j: int, exponents: Iterable[tuple[int, int, int]]
+) -> dict[tuple[int, int, int], OperatorMatrix]:
+    """Sym(L1^a L2^b L3^c) on the spin-j space for each exponent triple,
+    keyed by the triple, from one fill of the union of their boxes; the
+    entries are read-only arrays, and nothing is kept after the call."""
+    wanted = [tuple(e) for e in exponents]
+    for e in wanted:
+        if len(e) != 3 or min(e) < 0:
+            raise ValueError(f"exponents must be three non-negative ints, got {e}")
+    lams = [lam.entries for lam in lambda_matrices(SshParams(two_j, two_j % 2))]
     eye = np.eye(two_j + 1, dtype=complex)
     eye.setflags(write=False)
-    return lams, {(0, 0, 0): eye}
-
-
-def sym_monomial(two_j: int, exponents: tuple[int, int, int]) -> OperatorMatrix:
-    """Sym(L1^a L2^b L3^c) on the spin-j space, read from the memo per 2j;
-    the entries are a shared read-only array."""
-    exponents = tuple(exponents)
-    if len(exponents) != 3 or min(exponents) < 0:
-        raise ValueError(f"exponents must be three non-negative ints, got {exponents}")
-    lams, memo = _monomial_memo(two_j)
-    return OperatorMatrix(two_j, _sym_fill(lams, exponents, memo))
+    memo = {(0, 0, 0): eye}
+    return {e: OperatorMatrix(two_j, _sym_fill(lams, e, memo)) for e in wanted}
 
 
 # Largest 2j at which the generic hat_map still agrees with the exact band
@@ -227,15 +219,14 @@ def hat_map(params: FuzzyParams, poly: list[Monomial3]) -> HatResult:
             f"hat_map works up to 2j={HAT_MAP_MAX_TWO_J}; got 2j={params.two_j}"
         )
     kappa = params.kappa
+    kept = [mono for mono in poly if mono.degree <= params.two_j]
+    dropped = tuple(mono for mono in poly if mono.degree > params.two_j)
+    syms = sym_monomials(params.two_j, [(m.alpha, m.beta, m.gamma) for m in kept])
     total = OperatorMatrix.zeros(params.two_j)
-    dropped: list[Monomial3] = []
-    for mono in poly:
-        if mono.degree > params.two_j:
-            dropped.append(mono)
-            continue
-        term = sym_monomial(params.two_j, (mono.alpha, mono.beta, mono.gamma))
+    for mono in kept:
+        term = syms[mono.alpha, mono.beta, mono.gamma]
         total = total + term.scaled(mono.coefficient * kappa**mono.degree)
-    return HatResult(total, tuple(dropped))
+    return HatResult(total, dropped)
 
 
 def ylm_as_polynomial(ell: int, m: int) -> list[Monomial3]:
@@ -244,35 +235,29 @@ def ylm_as_polynomial(ell: int, m: int) -> list[Monomial3]:
     Built exactly from Racah's solid-harmonic sum (module docstring) with
     x+- = x1 +- i x2 expanded binomially, so every coefficient is a rational
     times a power of i; a single irrational normalization scales all
-    monomials at the end.  The build is memoized per (ell, m); each call
-    returns a fresh list of the shared frozen monomials.
+    monomials at the end.
     """
     if ell < 0 or abs(m) > ell:
         raise ValueError(f"invalid harmonic index (ell={ell}, m={m})")
-    return list(_ylm_monomials(ell, m))
-
-
-# Depends on (ell, m) alone; the bound holds every (ell, m) with ell <= 21.
-@functools.lru_cache(maxsize=512)
-def _ylm_monomials(ell: int, m: int) -> tuple[Monomial3, ...]:
     mm = abs(m)
     # Y_lm = norm * sum of the rationals below times i^b x1^a x2^b x3^s,
     # with the Condon-Shortley (-1)^m kept in front for m >= 0.
     front = parity_sign(m) if m >= 0 else 1
-    acc: dict[tuple[int, int, int], Fraction] = {}
+    acc: dict[tuple[int, int, int], int] = {}
     for q in range(max(0, -m), (ell - m) // 2 + 1):
         p, s = q + m, ell - m - 2 * q
-        # (-x+/2)^p (x-/2)^q x3^s / (p! q! s!), scaled by (ell + |m|)!
-        c = Fraction(
-            front * parity_sign(p) * factorial(ell + mm),
-            2 ** (p + q) * factorial(p) * factorial(q) * factorial(s),
-        )
+        # (-x+/2)^p (x-/2)^q x3^s / (p! q! s!) times 2^ell ell!, an integer
+        # as p + q + s = ell
+        multinomial = factorial(ell) // (factorial(p) * factorial(q) * factorial(s))
+        c = front * parity_sign(p) * 2**s * multinomial
         # x+^p x-^q = sum C(p, u) C(q, v) (-1)^v i^(u+v) x1^(p+q-u-v) x2^(u+v)
         for u in range(p + 1):
             for v in range(q + 1):
                 key = (p + q - u - v, u + v, s)
-                term = c * (parity_sign(v) * math.comb(p, u) * math.comb(q, v))
+                term = c * parity_sign(v) * math.comb(p, u) * math.comb(q, v)
                 acc[key] = acc.get(key, 0) + term
+    # back from 2^ell ell! to the scale (ell + |m|)! of the rationals
+    scale = Fraction(factorial(ell + mm), 2**ell * factorial(ell))
 
     norm = math.sqrt(
         (2 * ell + 1) * factorial(ell - mm) / factorial(ell + mm)
@@ -281,10 +266,10 @@ def _ylm_monomials(ell: int, m: int) -> tuple[Monomial3, ...]:
     for (a, b, g), coeff in sorted(acc.items()):
         if coeff == 0:
             continue
-        part = float(parity_sign(b // 2) * coeff)
+        part = float(parity_sign(b // 2) * coeff * scale)
         value = complex(0.0, part) if b % 2 else complex(part, 0.0)
         out.append(Monomial3(a, b, g, front * norm * value))
-    return tuple(out)
+    return out
 
 
 # (2j+1)^3 exact integers per 2j, whose size grows with 2j: one spin's powers

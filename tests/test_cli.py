@@ -224,6 +224,18 @@ def test_save_matrix_bytes_match_per_entry_rendering(tmp_path):
             assert path.read_bytes() == _per_entry_rendering(m, fmt, -4).encode()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(0.0, math.nan)])
+def test_save_matrix_refuses_a_non_finite_entry(tmp_path, fmt, bad):
+    # json has no inf or nan, so such a file would not load again
+    arr = np.eye(2, dtype=complex)
+    arr[0, 1] = bad
+    path = tmp_path / f"m.{fmt}"
+    with pytest.raises(ValueError, match="non-finite"):
+        save_matrix(OperatorMatrix(1, arr), path, fmt, two_sigma=1)
+    assert not path.exists()
+
+
 def test_csv_round_trip_keeps_two_sigma(tmp_path):
     path = tmp_path / "m.csv"
     save_matrix(OperatorMatrix.identity(4), path, "csv", two_sigma=2)
@@ -404,6 +416,20 @@ def test_fuzzy_compare_past_its_range_exits_2(capsys, args, message):
     code, _, err = run(capsys, "fuzzy-compare", *args)
     assert code == 2
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("classical-limit", "--two-j", "2", "4", "--two-sigma-offset", "0"),
+        ("fuzzy-compare", "--two-j", "4", "--two-sigma", "2"),
+    ],
+)
+def test_radius_not_finite_exits_2(capsys, args, radius):
+    code, out, err = run(capsys, *args, "--radius", radius)
+    assert code == 2 and out == ""
+    assert err.startswith("error: radius must be positive and finite")
 
 
 def test_classical_limit_cli(capsys):

@@ -17,7 +17,7 @@ from fuzzsphere.fuzzy import (
     empirical_ratios,
     hat_map,
     hat_ylm,
-    sym_monomial,
+    sym_monomials,
     sym_product,
     ylm_as_polynomial,
 )
@@ -89,24 +89,28 @@ def test_sym_product_generic_matrices_permutation_oracle():
 @pytest.mark.parametrize("tj", [2, 5])
 def test_sym_monomial_permutation_oracle(tj):
     lams = [lam.entries for lam in lambda_matrices(SshParams(tj, tj % 2))]
-    assert np.array_equal(sym_monomial(tj, (0, 0, 0)).entries, np.eye(tj + 1))
-    for a, b, c in itertools.product(range(7), repeat=3):
-        if not 0 < a + b + c <= 6:
-            continue
+    triples = [e for e in itertools.product(range(7), repeat=3) if sum(e) <= 6]
+    syms = sym_monomials(tj, triples)
+    assert list(syms) == triples
+    assert np.array_equal(syms[0, 0, 0].entries, np.eye(tj + 1))
+    for a, b, c in triples[1:]:
         want = _ordering_average([lams[0]] * a + [lams[1]] * b + [lams[2]] * c)
-        got = sym_monomial(tj, (a, b, c)).entries
+        got = syms[a, b, c].entries
         # Relative to j^n, the norm bound of every ordering's product: some
         # symmetrized monomials vanish, e.g. Sym(L1 L2 L3^3) at spin 1.
         assert np.abs(got - want).max() <= 1e-13 * (tj / 2) ** (a + b + c), (a, b, c)
+    # one call per triple fills each box afresh, with the same bytes
+    for e in ((6, 0, 0), (1, 2, 3), (0, 0, 0)):
+        assert sym_monomials(tj, [e])[e].entries.tobytes() == syms[e].entries.tobytes()
 
 
 def test_sym_monomial_entries_read_only():
-    for expo in ((0, 0, 0), (1, 2, 0)):
-        m = sym_monomial(4, expo)
+    for m in sym_monomials(4, [(0, 0, 0), (1, 2, 0)]).values():
         with pytest.raises(ValueError):
             m.entries[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        sym_monomial(4, (1, -1, 0))
+    for bad in ((1, -1, 0), (1, 2), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="three non-negative ints"):
+            sym_monomials(4, [(0, 0, 1), bad])
 
 
 def test_mutating_sym_product_result_leaves_hat_ylm_unchanged():
@@ -135,14 +139,9 @@ def test_mutating_ylm_polynomial_leaves_later_output_unchanged():
     assert np.array_equal(hat_ylm(fp, 3, -2).matrix.entries, hat_before)
 
 
-# Every exponent triple of degree <= 6: the monomials of the 2j = 6 memo.
-MONOMIALS_6 = [e for e in itertools.product(range(7), repeat=3) if sum(e) <= 6]
-
-
 def test_memo_clear_is_bitwise_neutral():
     # Hatted harmonics from a fresh memo of the ladder powers, then from
-    # another fresh memo in the reverse order, agree bit for bit; so do the
-    # symmetrized monomials of a fresh memo per 2j.
+    # another fresh memo in the reverse order, agree bit for bit.
     fp = FuzzyParams(6, 2)
     keys = [(ell, m) for ell in (3, 6) for m in range(-ell, ell + 1)]
     fuzzy._ladder_powers.cache_clear()
@@ -150,11 +149,6 @@ def test_memo_clear_is_bitwise_neutral():
     fuzzy._ladder_powers.cache_clear()
     again = {k: hat_ylm(fp, *k).matrix.entries for k in reversed(keys)}
     assert all(np.array_equal(first[k], again[k]) for k in keys)
-    fuzzy._monomial_memo.cache_clear()
-    first = {e: sym_monomial(6, e).entries.tobytes() for e in MONOMIALS_6}
-    fuzzy._monomial_memo.cache_clear()
-    again = {e: sym_monomial(6, e).entries.tobytes() for e in reversed(MONOMIALS_6)}
-    assert first == again
     # the memoized powers are shared, so they cannot be modified
     powers, prefix = fuzzy._ladder_powers(6)
     for arr in (*powers, prefix):
@@ -163,51 +157,44 @@ def test_memo_clear_is_bitwise_neutral():
 
 
 def test_sym_monomial_fills_only_its_box():
-    fuzzy._monomial_memo.cache_clear()
-    sym_monomial(6, (2, 1, 3))
-    _, memo = fuzzy._monomial_memo(6)
+    lams = [lam.entries for lam in lambda_matrices(SshParams(6, 0))]
+    memo = {(0, 0, 0): np.eye(7, dtype=complex)}
+    fuzzy._sym_fill(lams, (2, 1, 3), memo)
     assert set(memo) == set(itertools.product(range(3), range(2), range(4)))
 
 
-def test_sym_monomial_memo_thread_safety():
-    # Racing threads on one cold memo, switching often: two may compute one
-    # entry, and every result must be the bytes of a sequential fill.
-    import sys
-    import threading
-
-    fuzzy._monomial_memo.cache_clear()
-    sequential = {e: sym_monomial(6, e).entries.tobytes() for e in MONOMIALS_6}
-    fuzzy._monomial_memo.cache_clear()
-    fuzzy._monomial_memo(6)
-    results = {}
-
-    def worker(tag):
-        order = MONOMIALS_6 if tag % 2 else MONOMIALS_6[::-1]
-        results[tag] = {e: sym_monomial(6, e).entries.tobytes() for e in order}
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert all(results[tag] == sequential for tag in range(6))
-
-
-def test_hat_map_refuses_past_working_range_without_building_table():
+def test_hat_map_refuses_past_working_range_without_building_table(monkeypatch):
     assert fuzzy.HAT_MAP_MAX_TWO_J == 28
-    fuzzy._monomial_memo.cache_clear()
-    with pytest.raises(ValueError, match="2j=28"):
-        hat_map(FuzzyParams(29, 1), [Monomial3(1, 0, 0, 1.0)])
-    assert fuzzy._monomial_memo.cache_info().misses == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a symmetrized monomial past the working range")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fuzzy, "_sym_fill", refuse)
+        with pytest.raises(ValueError, match="2j=28"):
+            hat_map(FuzzyParams(29, 1), [Monomial3(1, 0, 0, 1.0)])
     # 2j = 28 is inside the range; a degree-0 term needs no products.
     out = hat_map(FuzzyParams(28, 2), [Monomial3(0, 0, 0, 2.0)])
     assert np.array_equal(out.matrix.entries, 2.0 * np.eye(29))
+
+
+def test_nothing_stays_resident_after_a_hat_map():
+    # No module state on the generic hat-map path: once hat_map and
+    # criterion 5 return, only the few kB of the cached generators remain.
+    import gc
+    import tracemalloc
+
+    from fuzzsphere.cli import _check_appendix_b
+
+    tracemalloc.start()
+    try:
+        hat_map(FuzzyParams(12, 2), ylm_as_polynomial(12, 3))
+        _check_appendix_b(0)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 200_000
 
 
 def test_sym_product_dimension_guard():
@@ -387,23 +374,23 @@ def test_hat_ylm_beyond_band():
 def test_hat_ylm_band_matches_hat_map_oracle():
     # The exact band against the generic hat-map of the same polynomial,
     # relative to the largest entry; one degree past the band limit the
-    # result is zero with the whole polynomial logged.
+    # result is zero with the whole polynomial logged.  Neither reads sigma,
+    # so one oracle per (2j, radius, ell, m) serves every sigma.
     for tj in range(1, 9):
-        for ts in range(-tj, tj + 1, 2):
-            if ts == 0:
-                continue
-            for radius in (1.0, 0.7):
-                fp = FuzzyParams(tj, ts, radius)
-                for ell in range(0, tj + 2):
-                    for m in range(-ell, ell + 1):
-                        poly = ylm_as_polynomial(ell, m)
-                        got = hat_ylm(fp, ell, m)
+        sigmas = [ts for ts in range(-tj, tj + 1, 2) if ts != 0]
+        for ell in range(0, tj + 2):
+            for m in range(-ell, ell + 1):
+                poly = ylm_as_polynomial(ell, m)
+                for radius in (1.0, 0.7):
+                    if ell <= tj:
+                        want = hat_map(FuzzyParams(tj, tj, radius), poly).matrix.entries
+                        scale = np.abs(want).max()
+                    for ts in sigmas:
+                        got = hat_ylm(FuzzyParams(tj, ts, radius), ell, m)
                         if ell > tj:
                             assert got.matrix.max_abs() == 0.0
                             assert got.truncated == tuple(poly)
                             continue
-                        want = hat_map(fp, poly).matrix.entries
-                        scale = np.abs(want).max()
                         assert np.abs(got.matrix.entries - want).max() <= 1e-12 * scale
                         assert got.truncated == ()
 
@@ -412,7 +399,7 @@ def test_hat_ylm_builds_no_symmetrized_monomial(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("hat_ylm reached the generic hat-map")
 
-    for name in ("sym_monomial", "hat_map", "_monomial_memo"):
+    for name in ("sym_monomials", "hat_map", "_sym_fill"):
         monkeypatch.setattr(fuzzy, name, refuse)
     fp = FuzzyParams(7, 3)
     for ell in range(0, 9):
@@ -671,3 +658,10 @@ def test_classical_limit_validation():
         classical_limit_report(0, [0], 1.0)  # sigma = 0
     with pytest.raises(ValueError):
         FuzzyParams(2, 2, radius=-1.0)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0])
+def test_hat_map_refuses_a_radius_that_is_not_positive_and_finite(radius):
+    # At radius inf, kappa is inf and the hatted entries read inf or nan.
+    with pytest.raises(ValueError, match="radius"):
+        hat_map(FuzzyParams(4, 2, radius), ylm_as_polynomial(2, 1))

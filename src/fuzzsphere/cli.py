@@ -24,8 +24,8 @@ from .csquant import (
     fock_demo,
     quantize_expansion,
     quantize_quadrature,
+    quantize_samples,
     quantize_ylm_closed,
-    superop_action,
 )
 from .fuzzy import (
     FuzzyParams,
@@ -348,11 +348,6 @@ def _check_identity(two_j_max: int):
 
 
 def _check_cartesian(two_j_max: int):
-    fns = [
-        lambda theta, phi: np.sin(theta) * np.cos(phi),
-        lambda theta, phi: np.sin(theta) * np.sin(phi),
-        lambda theta, phi: np.cos(theta),
-    ]
     worst = 0.0
     worst_zero = 0.0
     for tj, ts in _spin_pairs(two_j_max):
@@ -360,18 +355,31 @@ def _check_cartesian(two_j_max: int):
             continue
         p = SshParams(tj, ts)
         grid = SphereGrid.auto(tj, 1, p.phi_period)
-        lams = lambda_matrices(p)
-        k = cartesian_factor(p)
-        for a in range(3):
-            mat = quantize_quadrature(p, fns[a], grid)
-            if ts == 0:
-                worst_zero = max(worst_zero, mat.max_abs())
-            else:
-                worst = max(worst, mat.max_abs_diff(lams[a].scaled(k)))
+        theta, phi = grid.rings().theta[:, None], grid.rings().phi
+        coords = np.broadcast_arrays(
+            np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)
+        )
+        mats = quantize_samples(p, np.stack(coords), grid)
+        if ts == 0:
+            worst_zero = max(worst_zero, float(np.max(np.abs(mats))))
+        else:
+            lams = np.stack([lam.entries for lam in lambda_matrices(p)])
+            k = cartesian_factor(p)
+            worst = max(worst, float(np.max(np.abs(mats - k * lams))))
     return [
         ("cartesian_identification", worst, 1e-11),
         ("cartesian_degenerate_zero", worst_zero, 1e-12),
     ]
+
+
+def _degree_samples(ell: int, rings) -> np.ndarray:
+    """Y_ell_m on every node of a grid, stacked over m = -ell..ell, with the
+    bytes of ``HarmonicExpansion({(ell, m): 1.0}).evaluate``: one
+    :func:`ssh_rings` call for the degree, times exp(i m phi); the added
+    zero turns -0.0 into 0.0 as that sum does."""
+    ring = ssh_rings(SshParams(2 * ell, 0), rings.theta).T[:, :, None]
+    waves = np.exp(1j * np.arange(-ell, ell + 1)[:, None, None] * rings.phi)
+    return 0.0 + ring * waves
 
 
 def _check_closed_vs_quadrature(two_j_max: int):
@@ -380,12 +388,13 @@ def _check_closed_vs_quadrature(two_j_max: int):
         p = SshParams(tj, ts)
         grid = SphereGrid.auto(tj, tj, p.phi_period)
         for ell in range(0, tj + 1):
-            for m in range(-ell, ell + 1):
-                f = HarmonicExpansion({(ell, m): 1.0}).evaluate
-                quad = quantize_quadrature(p, f, grid, hermitize=False)
-                worst = max(
-                    worst, quantize_ylm_closed(p, ell, m).max_abs_diff(quad)
-                )
+            # one stack per degree: 2 ell + 1 integrands, one Gram reduction
+            samples = _degree_samples(ell, grid.rings())
+            quad = quantize_samples(p, samples, grid, hermitize=False)
+            closed = np.stack(
+                [quantize_ylm_closed(p, ell, m).entries for m in range(-ell, ell + 1)]
+            )
+            worst = max(worst, float(np.max(np.abs(closed - quad))))
     return [("closed_vs_quadrature", worst, 1e-10)]
 
 
@@ -448,20 +457,20 @@ def _check_appendix_b(_: int):
 def _check_eigen(two_j_max: int):
     worst3 = 0.0
     worst_sq = 0.0
+
+    def adjoint(lam, x):
+        # [Lambda_a, x] for every matrix of the stack x at once
+        return lam @ x - x @ lam
+
     for tj, ts in _spin_pairs(_reach("ladder_eigen_l3", two_j_max)):
         p = SshParams(tj, ts)
-        for ell in range(0, tj + 1):
-            for m in range(-ell, ell + 1):
-                t = quantize_ylm_closed(p, ell, m)
-                worst3 = max(
-                    worst3, superop_action(p, 3, t).max_abs_diff(t.scaled(m))
-                )
-                lsq = OperatorMatrix.zeros(tj)
-                for axis in (1, 2, 3):
-                    lsq = lsq + superop_action(p, axis, superop_action(p, axis, t))
-                worst_sq = max(
-                    worst_sq, lsq.max_abs_diff(t.scaled(ell * (ell + 1)))
-                )
+        harmonics = [(ell, m) for ell in range(0, tj + 1) for m in range(-ell, ell + 1)]
+        t = np.stack([quantize_ylm_closed(p, ell, m).entries for ell, m in harmonics])
+        ell, m = (np.array(col)[:, None, None] for col in zip(*harmonics))
+        lams = [lam.entries for lam in lambda_matrices(p)]
+        worst3 = max(worst3, float(np.max(np.abs(adjoint(lams[2], t) - m * t))))
+        lsq = sum(adjoint(lam, adjoint(lam, t)) for lam in lams)
+        worst_sq = max(worst_sq, float(np.max(np.abs(lsq - ell * (ell + 1) * t))))
     return [
         ("ladder_eigen_l3", worst3, 1e-9),
         ("ladder_eigen_l_squared", worst_sq, 1e-9),

@@ -20,6 +20,8 @@ memoized per (family, grid) so every observable of a family shares them;
 and the Gram sum splits exactly into a phi transform per ring and a sum
 over rings (:func:`fuzzsphere.quad.ring_gram`), both fixed-order float sums
 with the same bytes across runs and processes for a given numpy build.
+Observables sampled on one grid quantize as a stack in one such reduction
+(:func:`quantize_samples`); :func:`quantize_quadrature` is its stack of one.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "coherent_state",
     "reproducing_kernel",
     "quantize_quadrature",
+    "quantize_samples",
     "quantize_ylm_closed",
     "quantize_expansion",
     "quantize_ssh_general",
@@ -120,11 +123,9 @@ def quantize_quadrature(
     Entries are the mass-4pi integrals of conj(Y_mu) f Y_nu.  f is called
     once, as f(theta[:, None], phi[None, :]) with the grid's ring angles and
     azimuths, and its result is broadcast to (n_theta, n_phi); a scalar
-    stands for a constant.  A non-finite sample raises ValueError naming its
-    node (ring-major order, as in :meth:`SphereGrid.nodes_and_weights`) and
-    its angles.  When f is real on every node the result is symmetrized and
-    flagged Hermitian (the raw asymmetry is quadrature noise); pass
-    hermitize=False to inspect the raw matrix.
+    stands for a constant.  The samples are then quantized as a stack of
+    one by :func:`quantize_samples`, which raises on a non-finite sample
+    and hermitizes a real f unless hermitize=False.
 
     On the product grid Y_mu(theta_k, phi_i) = Y_mu(theta_k, 0)
     exp(i mu phi_i), so the harmonics are one memoized array per (family,
@@ -140,21 +141,47 @@ def quantize_quadrature(
     fvals = np.broadcast_to(
         np.asarray(f(rings.theta[:, None], rings.phi[None, :]), dtype=complex), shape
     )
-    finite = np.isfinite(fvals)
-    if not finite.all():
-        idx = int(np.flatnonzero(~finite)[0])
-        k, i = divmod(idx, grid.n_phi)
-        raise ValueError(
-            f"non-finite sample {complex(fvals[k, i])} at node {idx} "
-            f"(theta={float(rings.theta[k])!r}, phi={float(rings.phi[i])!r})"
-        )
-    f_is_real = not np.any(np.abs(fvals.imag) > 1e-14 * np.maximum(1.0, np.abs(fvals.real)))
+    return OperatorMatrix(params.two_j, quantize_samples(params, fvals, grid, hermitize))
 
-    entries = MEASURE_MASS * ring_gram(_ring_basis(params, grid), fvals, rings)
-    out = OperatorMatrix(params.two_j, entries)
-    if hermitize and f_is_real:
-        return out.hermitized()
-    return out
+
+def quantize_samples(
+    params: SshParams, samples: np.ndarray, grid: SphereGrid, hermitize: bool = True
+) -> np.ndarray:
+    """Frame quantization of a stack of integrands sampled on one grid.
+
+    ``samples[..., k, i]`` is an integrand at node (k, i) of ``grid`` (ring
+    k, azimuth i), with any leading stack axes; the result holds the
+    quantized entries, shape ``samples.shape[:-2] + (dim, dim)``, from a
+    single :func:`fuzzsphere.quad.ring_gram` reduction whose every matrix
+    has the bytes of its integrand quantized alone.  A non-finite sample
+    raises ValueError naming its node (ring-major order, as in
+    :meth:`SphereGrid.nodes_and_weights`) and its angles, and its stack
+    member if there is a stack.  Each integrand that is real on every node
+    is symmetrized (the raw asymmetry is quadrature noise); pass
+    hermitize=False to inspect the raw matrices.
+    """
+    rings = grid.rings()
+    samples = np.asarray(samples, dtype=complex)
+    nodes = grid.n_theta * grid.n_phi
+    finite = np.isfinite(samples).reshape(-1, nodes)
+    if not finite.all():
+        member, idx = divmod(int(np.flatnonzero(~finite)[0]), nodes)
+        k, i = divmod(idx, grid.n_phi)
+        where = f" of stack member {member}" if samples.ndim > 2 else ""
+        raise ValueError(
+            f"non-finite sample {complex(samples.reshape(-1, nodes)[member, idx])} "
+            f"at node {idx} (theta={float(rings.theta[k])!r}, "
+            f"phi={float(rings.phi[i])!r}){where}"
+        )
+    entries = MEASURE_MASS * ring_gram(_ring_basis(params, grid), samples, rings)
+    if not hermitize:
+        return entries
+    is_real = ~np.any(
+        np.abs(samples.imag) > 1e-14 * np.maximum(1.0, np.abs(samples.real)),
+        axis=(-2, -1),
+    )
+    hermitized = (entries + entries.conj().swapaxes(-1, -2)) / 2.0
+    return np.where(is_real[..., None, None], hermitized, entries)
 
 
 def quantize_ylm_closed(params: SshParams, ell: int, m: int) -> OperatorMatrix:

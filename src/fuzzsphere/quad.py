@@ -18,11 +18,14 @@ Two Gram kernels serve quadrature quantization.  :func:`ring_gram` takes a
 basis sampled once per ring whose columns carry consecutive integer phi
 frequencies; the sum over the product grid then splits exactly into a phi
 transform of the integrand per ring and a sum over rings (Driscoll and
-Healy, Adv. Appl. Math. 15 (1994) 202).  :func:`weighted_gram` takes a
-basis sampled at every node, for integrands that do not separate.  Both
+Healy, Adv. Appl. Math. 15 (1994) 202).  Neither level depends on the
+integrand beyond its samples, so one call serves a whole stack of
+integrands on the grid, one Gram matrix each.  :func:`weighted_gram` takes
+a basis sampled at every node, for integrands that do not separate.  Both
 reduce with ``np.einsum`` at its default ``optimize=False``: numpy's own C
 loops in a fixed order, never BLAS, so a Gram matrix has the same bytes
-across runs and processes for a given numpy build.  The sums are ordinary
+across runs and processes for a given numpy build, and in ``ring_gram``
+whether its integrand comes alone or in a stack.  The sums are ordinary
 float sums, not correctly rounded.
 """
 
@@ -155,44 +158,53 @@ def integrate_sphere(
 
 
 # Largest gather of transform columns the ring level of ring_gram makes at
-# once (64 kB of complex128), in blocks of whole rows.  Blocks from 1k terms
-# to unblocked ran equally fast (closed-vs-quadrature at 2j <= 8, one
-# quadrature at 2j = 40 and 100), but unblocked the traced peak of one
-# quadrature at 2j = 100 grows from 4.3 to 37 MB.
+# once (64 kB of complex128), in blocks of whole rows of every integrand of
+# the stack: the step divides by the stack size, and a block is never less
+# than one row of each integrand.  Blocks from 1k terms to unblocked ran
+# equally fast (closed-vs-quadrature at 2j <= 8, one quadrature at 2j = 40
+# and 100), but unblocked the traced peak of one quadrature at 2j = 100
+# grows from 4.3 to 37 MB.
 _BLOCK_TERMS = 1 << 12
 
 
 def ring_gram(basis: np.ndarray, samples: np.ndarray, rings: GridRings) -> np.ndarray:
-    """Weighted Gram matrix of a ring-separable basis over a product grid.
+    """Weighted Gram matrices of a ring-separable basis over a product grid,
+    one per integrand of a stack.
 
     ``basis[k, r]`` is basis function r on ring k at phi = 0, and the
     function at (theta_k, phi_i) is basis[k, r] exp(i (r + s) phi_i) for one
-    offset s shared by all r; ``samples[k, i]`` is the integrand at node
-    (k, i).  The result is G[r, c] = sum_{k,i} w_k f_ki conj(Y_r) Y_c, which
-    factorizes exactly:
+    offset s shared by all r; ``samples[..., k, i]`` is an integrand at node
+    (k, i), with any leading stack axes.  The result, of shape
+    ``samples.shape[:-2] + (dim, dim)``, holds G[r, c] = sum_{k,i} w_k f_ki
+    conj(Y_r) Y_c for each integrand, which factorizes exactly:
 
         G[r, c] = sum_k w_k conj(basis[k, r]) basis[k, c] F_k(c - r),
         F_k(d) = sum_i f_ki exp(i d phi_i),
 
     with F_k taken at the 2 dim - 1 integer differences.  Both levels are
-    fixed-order ``np.einsum`` reductions (module docstring), so G has the
-    same bytes on every run for a given numpy build.
+    fixed-order ``np.einsum`` reductions (module docstring) that sum each
+    entry of each integrand alone, so G has the same bytes on every run for
+    a given numpy build, whether an integrand comes alone or in a stack.
     """
     basis = np.asarray(basis, dtype=complex)
     samples = np.asarray(samples, dtype=complex)
     n_theta, dim = basis.shape
+    stack = math.prod(samples.shape[:-2])
     phases = np.exp(1j * np.outer(np.arange(1 - dim, dim), rings.phi))
-    transform = np.einsum("ki,di->kd", samples, phases)
+    transform = np.einsum("...ki,di->...kd", samples, phases)
     weighted = rings.weight[:, None] * basis.conj()
     # lag[r, c] is the column of F_k holding d = c - r
     lag = np.arange(dim)[None, :] - np.arange(dim)[:, None] + (dim - 1)
-    step = max(1, _BLOCK_TERMS // (dim * n_theta))
+    step = max(1, _BLOCK_TERMS // (stack * dim * n_theta))
     return np.concatenate([
         np.einsum(
-            "kr,kc,krc->rc", weighted[:, r : r + step], basis, transform[:, lag[r : r + step]]
+            "kr,kc,...krc->...rc",
+            weighted[:, r : r + step],
+            basis,
+            transform[..., lag[r : r + step]],
         )
         for r in range(0, dim, step)
-    ])
+    ], axis=-2)
 
 
 def weighted_gram(basis: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -569,3 +569,48 @@ def test_ssh_eval_past_working_range_exits_2(capsys):
     assert out == ""
     assert err.startswith("error:") and str(D_MATRIX_MAX_TWO_J) in err
     assert "Traceback" not in err
+
+
+def test_degree_stacks_quantize_as_each_harmonic_alone():
+    # The stacked route-1 quantization of closed-vs-quadrature: samples and
+    # matrices have the bytes of one quantize_quadrature call per harmonic.
+    from fuzzsphere.cli import _degree_samples, _spin_pairs
+    from fuzzsphere.csquant import HarmonicExpansion, quantize_quadrature, quantize_samples
+    from fuzzsphere.quad import SphereGrid
+    from fuzzsphere.ssh import SshParams
+
+    for tj, ts in _spin_pairs(6):
+        p = SshParams(tj, ts)
+        grid = SphereGrid.auto(tj, tj, p.phi_period)
+        rings = grid.rings()
+        for ell in range(tj + 1):
+            samples = _degree_samples(ell, rings)
+            stacked = quantize_samples(p, samples, grid, hermitize=False)
+            for m in range(-ell, ell + 1):
+                f = HarmonicExpansion({(ell, m): 1.0}).evaluate
+                alone = f(rings.theta[:, None], rings.phi[None, :])
+                assert samples[m + ell].tobytes() == alone.tobytes()
+                quad = quantize_quadrature(p, f, grid, hermitize=False)
+                assert stacked[m + ell].tobytes() == quad.entries.tobytes(), (tj, ts, ell, m)
+
+
+def test_stacked_checks_visit_the_last_harmonic(monkeypatch):
+    # Only (2j, 2sigma, ell, m) = (3, 1, 3, 3), the last harmonic of its family,
+    # gains 1e-6 in entry (0, 0), off its band; both stacked checks see it.
+    from fuzzsphere import cli
+
+    closed = cli.quantize_ylm_closed
+
+    def skewed(p, ell, m):
+        out = closed(p, ell, m)
+        if (p.two_j, p.two_sigma, ell, m) != (3, 1, 3, 3):
+            return out
+        entries = out.entries.copy()
+        entries[0, 0] += 1e-6
+        return OperatorMatrix(out.two_j, entries)
+
+    monkeypatch.setattr(cli, "quantize_ylm_closed", skewed)
+    [(_, residual, _)] = cli.ALL_CHECKS["closed-vs-quadrature"](3)
+    assert residual > 1e-10
+    eigen = {name: residual for name, residual, _ in cli.ALL_CHECKS["eigen"](3)}
+    assert eigen["ladder_eigen_l3"] > 1e-9

@@ -14,6 +14,7 @@ from fuzzsphere.csquant import (
     normalization_constant,
     quantize_expansion,
     quantize_quadrature,
+    quantize_samples,
     quantize_ssh_general,
     quantize_ylm_closed,
     reproducing_kernel,
@@ -300,6 +301,37 @@ def test_quadrature_non_finite_sample_names_node():
     f = lambda theta, phi: np.where((theta == bad.theta) & (phi == bad.phi), np.nan, 1.0)
     with pytest.raises(ValueError, match=rf"node 7 \(theta={bad.theta!r}, phi={bad.phi!r}\)"):
         quantize_quadrature(p, f, grid)
+
+
+def test_stacked_quantization_non_finite_sample_names_member_and_node():
+    p = SshParams(2, 2)
+    grid = SphereGrid(4, 5)
+    bad = grid.nodes_and_weights()[0][7]
+    samples = np.ones((2, 3, 4, 5), dtype=complex)
+    samples[1, 0].reshape(-1)[7] = np.inf
+    with pytest.raises(
+        ValueError,
+        match=rf"node 7 \(theta={bad.theta!r}, phi={bad.phi!r}\) of stack member 3$",
+    ):
+        quantize_samples(p, samples, grid)
+
+
+def test_stacked_quantization_hermitizes_only_real_members():
+    p = SshParams(3, 1)
+    grid = SphereGrid(7, 12, p.phi_period)
+    rings = grid.rings()
+    fns = (
+        lambda theta, phi: np.cos(theta) + np.sin(theta) * np.cos(phi) ** 2,
+        lambda theta, phi: np.exp(1j * phi) * np.sin(theta),
+    )
+    samples = np.stack(
+        [np.broadcast_to(f(rings.theta[:, None], rings.phi), (7, 12)) for f in fns]
+    )
+    mats = quantize_samples(p, samples, grid)
+    for f, mat in zip(fns, mats):
+        assert mat.tobytes() == quantize_quadrature(p, f, grid).entries.tobytes()
+    assert np.array_equal(mats[0], mats[0].conj().T)
+    assert np.abs(mats[1] - mats[1].conj().T).max() > 0.1
 
 
 def _closed_form_full_scan(params, ell, m):

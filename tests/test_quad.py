@@ -231,3 +231,28 @@ def test_ring_gram_matches_weighted_gram_over_nodes():
     got = ring_gram(basis, samples, rings)
     assert np.abs(got - want).max() < 1e-15
     assert got.tobytes() == ring_gram(basis, samples, rings).tobytes()
+
+
+@pytest.mark.parametrize(
+    "dim, n_theta, n_phi, stack",
+    [
+        (4, 6, 11, (5,)),
+        (3, 5, 7, (2, 3)),
+        # 81 integrands at 2j = 40 on its default grid: the blocks are one
+        # row each, 41 of them.
+        (41, 84, 164, (81,)),
+    ],
+)
+def test_ring_gram_stack_matches_one_call_per_integrand(dim, n_theta, n_phi, stack):
+    rng = np.random.default_rng(dim)
+    rings = SphereGrid(n_theta, n_phi, FOUR_PI).rings()
+    basis = rng.normal(size=(n_theta, dim)) + 1j * rng.normal(size=(n_theta, dim))
+    samples = rng.normal(size=stack + (n_theta, n_phi)) + 1j * rng.normal(
+        size=stack + (n_theta, n_phi)
+    )
+    got = ring_gram(basis, samples, rings)
+    assert got.shape == stack + (dim, dim)
+    for idx in np.ndindex(*stack):
+        one = ring_gram(basis, samples[idx], rings)
+        assert one.shape == (dim, dim)
+        assert one.tobytes() == got[idx].tobytes()

@@ -13,7 +13,6 @@ import math
 import re
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -432,25 +431,31 @@ def _check_fuzzy(two_j_max: int):
 
 def _check_appendix_b(_: int):
     # [Lambda_a, Sym(P)] = Sym(L_a P) for each generator monomial P, with
-    # L_a P from the polynomial-level orbital action, which is spin-free.
-    cases = [
-        (expo, axis, apply_orbital_generator(axis, [Monomial3(*expo, 1.0)]))
-        for expo in itertools.product(range(6), repeat=3)
-        if 0 < sum(expo) <= 5
-        for axis in (1, 2, 3)
-    ]
+    # L_a P from the polynomial-level orbital action, which is spin-free:
+    # coeffs[a, p, q] is the coefficient of monomial q in L_a (monomial p).
+    # L_a P has the degree of P, so the monomials P cover every image too.
+    expos = [e for e in itertools.product(range(6), repeat=3) if 0 < sum(e) <= 5]
+    index = {e: q for q, e in enumerate(expos)}
+    coeffs = np.zeros((3, len(expos), len(expos)), dtype=complex)
+    for p, expo in enumerate(expos):
+        for axis in (1, 2, 3):
+            for mono in apply_orbital_generator(axis, [Monomial3(*expo, 1.0)]):
+                q = index[mono.alpha, mono.beta, mono.gamma]
+                coeffs[axis - 1, p, q] = mono.coefficient
     worst = 0.0
     for tjr in _SPANS["symmetrized_commutator"]:
-        lams = lambda_matrices(SshParams(tjr, tjr % 2))
-        # L_a P has the degree of P, so these triples cover every image too
-        syms = sym_monomials(tjr, (expo for expo, _, _ in cases))
-        for expo, axis, image in cases:
-            shifted = sum(
-                mono.coefficient * syms[mono.alpha, mono.beta, mono.gamma].entries
-                for mono in image
-            )
-            comm = lams[axis - 1].commutator(syms[expo]).entries
-            worst = max(worst, float(np.linalg.norm(shifted - comm)))
+        lams = np.stack([lam.entries for lam in lambda_matrices(SshParams(tjr, tjr % 2))])
+        syms = sym_monomials(tjr, expos)
+        stack = np.stack([syms[e].entries for e in expos])
+        # An image has at most two terms, so any summation order gives the
+        # same bytes.
+        shifted = np.einsum("apq,qij->apij", coeffs, stack, optimize=False)
+        comm = lams[:, None] @ stack - stack @ lams[:, None]
+        # Frobenius norms with the bytes of np.linalg.norm: a dot product
+        # of the real parts plus one of the imaginary parts, per matrix.
+        diff = (shifted - comm).reshape(-1, 1, (tjr + 1) ** 2)
+        sq = sum(part @ part.transpose(0, 2, 1) for part in (diff.real, diff.imag))
+        worst = max(worst, float(np.sqrt(sq).max()))
     return [("symmetrized_commutator", worst, 1e-12)]
 
 
@@ -488,21 +493,30 @@ def _check_threej(_: int):
                     continue
                 sign = -1 if (tj1 + tj2 + tj3) // 2 % 2 else 1
                 for tm3 in range(-tj3, tj3 + 1, 2):
-                    total = Fraction(0)
+                    # the sum of (2 j3 + 1) coeff^2 radicand as num / den
+                    num, den = 0, 1
                     for tm1 in range(-tj1, tj1 + 1, 2):
                         tm2 = -tm1 - tm3
                         if abs(tm2) > tj2:
                             continue
                         val = three_j_twice(tj1, tj2, tj3, tm1, tm2, tm3)
-                        total += (tj3 + 1) * val.squared()
-                        # cyclic, swap and m-negation symmetries, compared exactly
-                        images = (
-                            three_j_twice(tj2, tj3, tj1, tm2, tm3, tm1),
-                            three_j_twice(tj2, tj1, tj3, tm2, tm1, tm3).scaled(sign),
-                            three_j_twice(tj1, tj2, tj3, -tm1, -tm2, -tm3).scaled(sign),
-                        )
-                        broken += sum(image != val for image in images)
-                    worst_orth = max(worst_orth, float(abs(total - 1)))
+                        want = (val.coeff.numerator, val.coeff.denominator, val.radicand)
+                        n, d, free = want
+                        lcm = math.lcm(den, d * d)
+                        num = num * (lcm // den) + (tj3 + 1) * n * n * free * (lcm // (d * d))
+                        den = lcm
+                        # cyclic, swap and m-negation symmetries, compared
+                        # exactly on the normalized (numerator, denominator,
+                        # radicand)
+                        for image, s in (
+                            (three_j_twice(tj2, tj3, tj1, tm2, tm3, tm1), 1),
+                            (three_j_twice(tj2, tj1, tj3, tm2, tm1, tm3), sign),
+                            (three_j_twice(tj1, tj2, tj3, -tm1, -tm2, -tm3), sign),
+                        ):
+                            c = image.coeff
+                            broken += (s * c.numerator, c.denominator, image.radicand) != want
+                    # the exact |sum - 1|, rounded once
+                    worst_orth = max(worst_orth, abs(num - den) / den)
     return [
         ("threej_orthogonality_exact", worst_orth, 0.0),
         ("threej_symmetry_exact", float(broken), 0.0),

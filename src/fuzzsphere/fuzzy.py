@@ -337,8 +337,21 @@ def hat_ylm(params: FuzzyParams, ell: int, m: int) -> HatResult:
     # F[r + m] and F[r] along the band, r ascending like a
     rows = prefix[max(m, 0) :][: len(a)]
     cols = prefix[max(-m, 0) :][: len(a)]
+    weight = factorial(ell + m) * factorial(ell - m)
+    band = _hat_entries(params, ell, a, weight * rows, cols)
+    return HatResult(OperatorMatrix(tj, np.diag(band, -m)), ())
+
+
+def _hat_entries(
+    params: FuzzyParams, ell: int, a: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """sign(a) sqrt((2 ell + 1) / (4 pi)) sqrt(Q) entrywise, for the exact
+    Q = rows a^2 p^(2 ell) / ((2j (2j+2))^ell ell!^2 cols q^(2 ell)) of
+    :func:`hat_ylm`, where ``rows`` already carries (ell+m)! (ell-m)!; each Q
+    is rounded once, and one outside the normal float range raises."""
+    tj = params.two_j
     rad_num, rad_den = float(params.radius).as_integer_ratio()
-    num = factorial(ell + m) * factorial(ell - m) * rad_num ** (2 * ell) * rows * a * a
+    num = rad_num ** (2 * ell) * rows * a * a
     den = (tj * (tj + 2) * rad_den**2) ** ell * factorial(ell) ** 2 * cols
     try:
         square = (num / den).astype(float)
@@ -350,12 +363,11 @@ def hat_ylm(params: FuzzyParams, ell: int, m: int) -> HatResult:
         rad_num < rad_den and ((square < sys.float_info.min) & (a != 0)).any()
     ):
         raise ValueError(
-            f"hat_ylm entries at 2j={tj}, ell={ell}, m={m}, "
+            f"hat_ylm entries at 2j={tj}, ell={ell}, "
             f"radius={params.radius!r} are outside the float range"
         )
     scale = math.sqrt((2 * ell + 1) / (4 * math.pi))
-    band = np.where(a < 0, -scale, scale) * np.sqrt(square)
-    return HatResult(OperatorMatrix(tj, np.diag(band, -m)), ())
+    return np.where(a < 0, -scale, scale) * np.sqrt(square)
 
 
 def c_of_ell_closed(params: FuzzyParams, ell: int) -> float:
@@ -401,14 +413,30 @@ def c_of_ell_closed(params: FuzzyParams, ell: int) -> float:
 
 
 def empirical_ratios(params: FuzzyParams, ell: int) -> list[complex]:
-    """Per-m ratio of quantized to hatted harmonic on the largest entry."""
+    """Per-m ratio of quantized to hatted harmonic at the first largest
+    entry of hatted band m, for 0 <= ell <= 2j.  Every band comes from one
+    exact pass over the whole matrix A^ell: entry (r, c) lies on band
+    m = r - c, and A^ell vanishes off the bands |m| <= ell."""
+    tj = params.two_j
+    if tj > HAT_YLM_MAX_TWO_J:
+        raise ValueError(f"hat_ylm works up to 2j={HAT_YLM_MAX_TWO_J}; got 2j={tj}")
+    if not 0 <= ell <= tj:
+        raise ValueError(f"ell={ell} outside the band limit 2j={tj}")
+    powers, prefix = _ladder_powers(tj)
+    weights = [
+        factorial(ell + m) * factorial(ell - m) if abs(m) <= ell else 0
+        for m in range(-tj, tj + 1)
+    ]
+    shift = np.subtract.outer(np.arange(tj + 1), np.arange(tj + 1)) + tj
+    rows = np.array(weights, dtype=object)[shift] * prefix[:, None]
+    hat = _hat_entries(params, ell, powers[ell], rows, prefix[None, :])
     sp = params.ssh_params()
     out: list[complex] = []
     for m in range(-ell, ell + 1):
-        tilde = quantize_ylm_closed(sp, ell, m)
-        hat = hat_ylm(params, ell, m).matrix
-        idx = np.unravel_index(np.argmax(np.abs(hat.entries)), hat.entries.shape)
-        out.append(complex(tilde.entries[idx] / hat.entries[idx]))
+        band = np.diagonal(hat, -m)
+        k = int(np.argmax(np.abs(band)))
+        tilde = quantize_ylm_closed(sp, ell, m).entries[k + max(m, 0), k + max(-m, 0)]
+        out.append(complex(tilde / np.complex128(band[k])))
     return out
 
 

@@ -299,7 +299,9 @@ def _root_of_product(a: int, b: int, c: int) -> tuple[int, int]:
 
 # (2l+1) x (2j+1) floats per (2j, l), at most 32 B per distinct symbol: a
 # sweep over every l at 2j = 24, 32 and 40 holds 99 tables (0.96 MB), so
-# the bound sits well above one such cyclic pass.
+# the bound sits well above one such cyclic pass.  The bound counts tables,
+# not bytes: one table at (2j, l) = (1000, 1000) holds 16 MB, and a sweep
+# over l at 2j = 1000 would keep GBs resident (ROADMAP item 6).
 @functools.lru_cache(maxsize=256)
 def _three_j_band(two_j: int, ell: int) -> np.ndarray:
     """Read-only float table of (-1)^r (j j l; -mu, mu-m, m), mu = -j + r,

@@ -418,6 +418,14 @@ def test_fuzzy_compare_past_its_range_exits_2(capsys, args, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("ell", ["5", "-1"])
+def test_fuzzy_compare_ell_outside_the_band_exits_2(capsys, ell):
+    code, out, err = run(capsys, "fuzzy-compare", "--two-j", "4", "--two-sigma", "2", "--ell", ell)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Warning" not in err
+    assert f"ell={ell} outside the band limit 2j=4" in err
+
+
 @pytest.mark.parametrize("radius", ["nan", "inf"])
 @pytest.mark.parametrize(
     "args",

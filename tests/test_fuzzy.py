@@ -435,6 +435,47 @@ def test_hat_ylm_working_range(monkeypatch):
             hat_ylm(FuzzyParams(top + 1, 1), ell, 0)
 
 
+def _hat_band_reference(fp, ell, m):
+    """Band m of hat(Y_lm) from hat_ylm's docstring formula, with A^ell
+    and F built here from their definitions: one rounding of the exact Q
+    per entry."""
+    tj = fp.two_j
+    f = [(tj - r) * (r + 1) for r in range(tj)]
+    a_mat = np.zeros((tj + 1, tj + 1), dtype=object)
+    for r in range(tj + 1):
+        a_mat[r, r] = 2 * r - tj
+        if r < tj:
+            a_mat[r + 1, r] = -1
+            a_mat[r, r + 1] = f[r]
+    power = np.eye(tj + 1, dtype=object)
+    for _ in range(ell):
+        power = power.dot(a_mat)
+    prefix = [math.prod(f[:r]) for r in range(tj + 1)]
+    p, q = float(fp.radius).as_integer_ratio()
+    band = []
+    for r in range(tj + 1 - abs(m)):
+        row, col = r + max(m, 0), r + max(-m, 0)
+        a = power[row, col]
+        num = math.factorial(ell + m) * math.factorial(ell - m) * a * a * prefix[row]
+        den = (tj * (tj + 2)) ** ell * math.factorial(ell) ** 2 * prefix[col]
+        value = math.sqrt((2 * ell + 1) / FOUR_PI) * math.sqrt(
+            num * p ** (2 * ell) / (den * q ** (2 * ell))
+        )
+        band.append(-value if a < 0 else value)
+    return np.array(band)
+
+
+def test_hat_ylm_band_bytes():
+    for tj in range(1, 9):
+        for radius in (1.0, 0.7, 2.0):
+            fp = FuzzyParams(tj, tj, radius)
+            for ell in range(0, tj + 1):
+                for m in range(-ell, ell + 1):
+                    got = hat_ylm(fp, ell, m).matrix.entries
+                    want = np.diag(_hat_band_reference(fp, ell, m), -m).astype(complex)
+                    assert got.tobytes() == want.tobytes(), (tj, radius, ell, m)
+
+
 # ------------------------------------------------------------- correspondence
 
 def test_fuzzy_correspondence_entrywise():
@@ -450,6 +491,40 @@ def test_fuzzy_correspondence_entrywise():
                     tilde = quantize_ylm_closed(sp, ell, m)
                     hat = hat_ylm(fp, ell, m).matrix
                     assert tilde.max_abs_diff(hat.scaled(c)) < 1e-9
+
+
+def _ratios_per_m(fp, ell):
+    """Ratio of quantized to hatted harmonic at the largest entry of the
+    whole hatted matrix, one hat_ylm call per m: the oracle of the single
+    pass in empirical_ratios."""
+    out = []
+    for m in range(-ell, ell + 1):
+        tilde = quantize_ylm_closed(fp.ssh_params(), ell, m).entries
+        hat = hat_ylm(fp, ell, m).matrix.entries
+        idx = np.unravel_index(np.argmax(np.abs(hat)), hat.shape)
+        out.append(complex(tilde[idx] / hat[idx]))
+    return out
+
+
+def test_empirical_ratios_match_the_per_m_oracle():
+    cases = [
+        (FuzzyParams(tj, ts, radius), ell)
+        for tj in range(1, 9)
+        for ts in range(-tj, tj + 1, 2)
+        if ts != 0
+        for radius in (1.0, 0.7)
+        for ell in range(0, tj + 1)
+    ]
+    cases += [(FuzzyParams(40, 2), ell) for ell in (0, 20, 40)]
+    for fp, ell in cases:
+        assert repr(empirical_ratios(fp, ell)) == repr(_ratios_per_m(fp, ell)), (fp, ell)
+
+
+@pytest.mark.parametrize("ell", [-1, 5])
+def test_empirical_ratios_reject_ell_outside_the_band(ell):
+    # Past 2j the hatted harmonic is zero and the ratio would be 0/0.
+    with pytest.raises(ValueError, match=f"ell={ell} outside the band limit 2j=4"):
+        empirical_ratios(FuzzyParams(4, 2), ell)
 
 
 def test_empirical_ratio_m_independent():
@@ -545,6 +620,23 @@ def test_symmetrization_lemma_check_fails_on_a_wrong_orbital_action(monkeypatch)
     monkeypatch.setattr(cli, "apply_orbital_generator", negated)
     [(name, residual, tol)] = cli._check_appendix_b(0)
     assert name == "symmetrized_commutator"
+    assert tol == 1e-12 < residual
+
+
+def test_symmetrization_lemma_check_sees_the_last_case(monkeypatch):
+    # Only the image of the last (exponent, axis) case is perturbed.
+    from fuzzsphere import cli
+
+    last = max(e for e in itertools.product(range(6), repeat=3) if sum(e) <= 5)
+
+    def perturbed(axis, poly):
+        image = apply_orbital_generator(axis, poly)
+        if axis == 3 and [(m.alpha, m.beta, m.gamma) for m in poly] == [last]:
+            return [Monomial3(m.alpha, m.beta, m.gamma, 1.001 * m.coefficient) for m in image]
+        return image
+
+    monkeypatch.setattr(cli, "apply_orbital_generator", perturbed)
+    [(_, residual, tol)] = cli._check_appendix_b(0)
     assert tol == 1e-12 < residual
 
 

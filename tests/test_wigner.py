@@ -190,6 +190,96 @@ def test_threej_check_catches_a_sign_fault_in_the_kernel(monkeypatch):
     assert residuals["threej_orthogonality_exact"] == 0
 
 
+def _magnitude_fault(kernel, cols_at_fault):
+    # doubles one symbol, as looked up with these columns in this order
+    def faulty(cols):
+        num, den, free = kernel(cols)
+        return (2 * num if cols == cols_at_fault else num), den, free
+
+    return faulty
+
+
+def test_threej_check_catches_a_magnitude_fault_in_the_last_sum(monkeypatch):
+    # (2 2 2; 0 -2 2) is the last term of the last orthogonality sum,
+    # j1 = j2 = j3 = m3 = 2: doubling it alone breaks that sum.
+    from fuzzsphere import cli
+    from fuzzsphere import wigner as _w
+
+    last = ((4, 0), (4, -4), (4, 4))
+    _w.three_j_cache_clear()
+    monkeypatch.setattr(_w, "_three_j_parts", _magnitude_fault(_w._three_j_parts, last))
+    try:
+        residuals = {name: r for name, r, _tol in cli._check_threej(4)}
+    finally:
+        _w.three_j_cache_clear()
+    assert residuals["threej_orthogonality_exact"] > 0
+
+
+def _threej_fraction_loop(spins):
+    """The threej check as exact Fraction arithmetic, one ExactRadical
+    image per column symmetry: the oracle of the integer sums."""
+    worst_orth = 0.0
+    broken = 0
+    for tj1 in spins:
+        for tj2 in spins:
+            for tj3 in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                if tj3 not in spins:
+                    continue
+                sign = -1 if (tj1 + tj2 + tj3) // 2 % 2 else 1
+                for tm3 in range(-tj3, tj3 + 1, 2):
+                    total = Fraction(0)
+                    for tm1 in range(-tj1, tj1 + 1, 2):
+                        tm2 = -tm1 - tm3
+                        if abs(tm2) > tj2:
+                            continue
+                        val = three_j_twice(tj1, tj2, tj3, tm1, tm2, tm3)
+                        total += (tj3 + 1) * val.squared()
+                        images = (
+                            three_j_twice(tj2, tj3, tj1, tm2, tm3, tm1),
+                            three_j_twice(tj2, tj1, tj3, tm2, tm1, tm3).scaled(sign),
+                            three_j_twice(tj1, tj2, tj3, -tm1, -tm2, -tm3).scaled(sign),
+                        )
+                        broken += sum(image != val for image in images)
+                    worst_orth = max(worst_orth, float(abs(total - 1)))
+    return [
+        ("threej_orthogonality_exact", worst_orth, 0.0),
+        ("threej_symmetry_exact", float(broken), 0.0),
+    ]
+
+
+@pytest.mark.parametrize(
+    "fault, broken", [("none", (False, False)), ("sign", (False, True)), ("magnitude", (True, True))]
+)
+def test_threej_check_matches_the_fraction_loop(monkeypatch, fault, broken):
+    # Spins 0..6, with the exact kernel and with two planted faults, so
+    # that both residuals are compared away from zero too.
+    from fuzzsphere import cli
+    from fuzzsphere import wigner as _w
+
+    kernel = _w._three_j_parts
+
+    def sign_fault(cols):
+        num, den, free = kernel(cols)
+        return (-num if cols[0][0] > cols[1][0] else num), den, free
+
+    faults = {
+        "none": kernel,
+        "sign": sign_fault,
+        "magnitude": _magnitude_fault(kernel, ((6, 2), (4, 0), (4, -2))),
+    }
+    spins = range(0, 7)
+    monkeypatch.setitem(cli._SPANS, "threej_orthogonality_exact", spins)
+    monkeypatch.setattr(_w, "_three_j_parts", faults[fault])
+    _w.three_j_cache_clear()
+    try:
+        got = cli._check_threej(0)
+        want = _threej_fraction_loop(spins)
+    finally:
+        _w.three_j_cache_clear()
+    assert repr(got) == repr(want)
+    assert tuple(residual > 0 for _, residual, _ in got) == broken
+
+
 def test_three_j_cache_thread_safety():
     import threading
 

@@ -15,18 +15,17 @@ basis orthonormal and the identity resolve exactly; the normalized grids of
 
 Quadrature runs ring by ring.  The observable is one array-valued call on
 the whole product grid, f(theta[:, None], phi[None, :]); the harmonics are
-sampled once per ring of constant theta (:func:`fuzzsphere.ssh.ssh_rings`),
-memoized per (family, grid) so every observable of a family shares them;
-and the Gram sum splits exactly into a phi transform per ring and a sum
-over rings (:func:`fuzzsphere.quad.ring_gram`), both fixed-order float sums
-with the same bytes across runs and processes for a given numpy build.
-Observables sampled on one grid quantize as a stack in one such reduction
-(:func:`quantize_samples`); :func:`quantize_quadrature` is its stack of one.
+sampled once per ring of constant theta (:func:`fuzzsphere.ssh.ssh_rings`)
+in each call; and the Gram sum splits exactly into a phi transform per ring
+and a sum over rings (:func:`fuzzsphere.quad.ring_gram`), both fixed-order
+float sums with the same bytes across runs and processes for a given numpy
+build.  Observables sampled on one grid quantize as a stack in one such
+reduction (:func:`quantize_samples`); :func:`quantize_quadrature` is its
+stack of one.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -102,16 +101,6 @@ def _default_grid(params: SshParams) -> SphereGrid:
     return SphereGrid.auto(params.two_j, params.two_j, params.phi_period)
 
 
-# One (n_theta, dim) array per entry: 84 x 41 complex (55 kB) at 2j = 40 on
-# its default grid.
-@functools.lru_cache(maxsize=16)
-def _ring_basis(params: SshParams, grid: SphereGrid) -> np.ndarray:
-    """Read-only harmonics of the family on every ring of the grid, at phi = 0."""
-    basis = ssh_rings(params, grid.rings().theta)
-    basis.flags.writeable = False
-    return basis
-
-
 def quantize_quadrature(
     params: SshParams,
     f: Callable[[np.ndarray, np.ndarray], object],
@@ -128,8 +117,8 @@ def quantize_quadrature(
     and hermitizes a real f unless hermitize=False.
 
     On the product grid Y_mu(theta_k, phi_i) = Y_mu(theta_k, 0)
-    exp(i mu phi_i), so the harmonics are one memoized array per (family,
-    grid) and the sum over nodes runs ring by ring
+    exp(i mu phi_i), so the harmonics are sampled once per ring and the sum
+    over nodes runs ring by ring
     (:func:`fuzzsphere.quad.ring_gram`) in a fixed order, bit-reproducible
     for a given numpy build but not correctly rounded.  No 3j-symbol
     enters, which keeps this route an independent check of the closed form.
@@ -173,7 +162,7 @@ def quantize_samples(
             f"at node {idx} (theta={float(rings.theta[k])!r}, "
             f"phi={float(rings.phi[i])!r}){where}"
         )
-    entries = MEASURE_MASS * ring_gram(_ring_basis(params, grid), samples, rings)
+    entries = MEASURE_MASS * ring_gram(ssh_rings(params, rings.theta), samples, rings)
     if not hermitize:
         return entries
     is_real = ~np.any(
@@ -195,25 +184,29 @@ def quantize_ylm_closed(params: SshParams, ell: int, m: int) -> OperatorMatrix:
     """
     if abs(m) > ell:
         raise ValueError(f"|m|={abs(m)} exceeds ell={ell}")
-    tj, ts = params.two_j, params.two_sigma
+    tj, dim = params.two_j, params.dim
     if ell > tj:
         return OperatorMatrix.zeros(tj)
+    band = _closed_band(params, ell, m)
+    entries = np.zeros((dim, dim), dtype=complex)
+    # Row r holds mu = -j + r, so nu = mu - m sits in column r - m: flat
+    # index r (dim + 1) - m, one stride of dim + 1 along the band.
+    start = max(0, m) * (dim + 1) - m
+    entries.reshape(-1)[start : start + len(band) * (dim + 1) : dim + 1] = band
+    return OperatorMatrix(tj, entries)
+
+
+def _closed_band(params: SshParams, ell: int, m: int) -> np.ndarray:
+    """Band m of the closed form of Y_lm, for |m| <= ell <= 2j, as the real
+    array ``np.diagonal(entries, -m)`` reads from the matrix: entry k sits
+    at row k + max(m, 0), column k + max(-m, 0)."""
+    tj, ts = params.two_j, params.two_sigma
     table = _three_j_band(tj, ell)
     # Column r holds mu = sigma; its (-1)^r is undone, and a zero reads +0.0.
     r = (tj + ts) // 2
     spin_factor = parity_sign(r) * float(table[ell, r])
     scale = (tj + 1) * math.sqrt((2 * ell + 1) / FOUR_PI) * spin_factor
-    dim = params.dim
-    entries = np.zeros((dim, dim), dtype=complex)
-    # Row r holds mu = -j + r, so nu = mu - m sits in column r - m: flat
-    # index r (dim + 1) - m, one stride of dim + 1 along the band.
-    lo, hi = max(0, m), min(dim, dim + m)
-    band = table[ell + m, lo:hi]
-    start = lo * (dim + 1) - m
-    entries.reshape(-1)[start : start + (hi - lo) * (dim + 1) : dim + 1] = (
-        parity_sign(r) * scale * band
-    )
-    return OperatorMatrix(tj, entries)
+    return parity_sign(r) * scale * table[ell + m, max(0, m) : min(tj + 1, tj + 1 + m)]
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import factorial, factorial_sqrt, parity_sign, radical_to_float
-from .csquant import cartesian_factor, normalization_constant, quantize_ylm_closed
+from .csquant import _closed_band, cartesian_factor, normalization_constant
 from .ssh import OperatorMatrix, SshParams, lambda_matrices, ssh_rings
 from .wigner import _three_j_parts
 
@@ -416,7 +416,8 @@ def empirical_ratios(params: FuzzyParams, ell: int) -> list[complex]:
     """Per-m ratio of quantized to hatted harmonic at the first largest
     entry of hatted band m, for 0 <= ell <= 2j.  Every band comes from one
     exact pass over the whole matrix A^ell: entry (r, c) lies on band
-    m = r - c, and A^ell vanishes off the bands |m| <= ell."""
+    m = r - c, and A^ell vanishes off the bands |m| <= ell.  The quantized
+    entry is read from band m of the closed form alone, with no matrix."""
     tj = params.two_j
     if tj > HAT_YLM_MAX_TWO_J:
         raise ValueError(f"hat_ylm works up to 2j={HAT_YLM_MAX_TWO_J}; got 2j={tj}")
@@ -435,7 +436,7 @@ def empirical_ratios(params: FuzzyParams, ell: int) -> list[complex]:
     for m in range(-ell, ell + 1):
         band = np.diagonal(hat, -m)
         k = int(np.argmax(np.abs(band)))
-        tilde = quantize_ylm_closed(sp, ell, m).entries[k + max(m, 0), k + max(-m, 0)]
+        tilde = _closed_band(sp, ell, m)[k]
         out.append(complex(tilde / np.complex128(band[k])))
     return out
 

@@ -12,7 +12,7 @@ arrays (:meth:`SphereGrid.rings`: the polar angle of each ring of constant
 theta, the azimuths shared by every ring, and the weight of each node of a
 ring) are the one construction; the node list of
 :meth:`SphereGrid.nodes_and_weights`, n_phi consecutive nodes per ring, is
-derived from them.
+derived from them on each call.
 
 Two Gram kernels serve quadrature quantization.  :func:`ring_gram` takes a
 basis sampled once per ring whose columns carry consecutive integer phi
@@ -125,14 +125,9 @@ class SphereGrid:
             arr.flags.writeable = False
         return GridRings(theta, phi, weight)
 
-    @functools.lru_cache(maxsize=64)
     def nodes_and_weights(self) -> tuple[tuple[SpherePoint, ...], tuple[float, ...]]:
-        """Deterministic node ordering: ascending cos(theta), then phi.
-
-        Derived from :meth:`rings` and memoized per grid (the grid is its own
-        cache key); the tuples are shared between callers and cannot be
-        modified.
-        """
+        """Deterministic node ordering: ascending cos(theta), then phi,
+        derived from :meth:`rings` as two immutable tuples."""
         rings = self.rings()
         phis = rings.phi.tolist()
         points = tuple(SpherePoint(t, p) for t in rings.theta.tolist() for p in phis)

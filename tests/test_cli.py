@@ -579,27 +579,78 @@ def test_ssh_eval_past_working_range_exits_2(capsys):
     assert "Traceback" not in err
 
 
-def test_degree_stacks_quantize_as_each_harmonic_alone():
-    # The stacked route-1 quantization of closed-vs-quadrature: samples and
-    # matrices have the bytes of one quantize_quadrature call per harmonic.
-    from fuzzsphere.cli import _degree_samples, _spin_pairs
+def test_family_stacks_quantize_as_each_harmonic_alone():
+    # The stacked route-1 quantization of closed-vs-quadrature: one stack per
+    # family, whose samples and matrices have the bytes of one
+    # quantize_quadrature call per harmonic.
+    from fuzzsphere.cli import _family_samples, _harmonics, _spin_pairs
     from fuzzsphere.csquant import HarmonicExpansion, quantize_quadrature, quantize_samples
-    from fuzzsphere.quad import SphereGrid
+    from fuzzsphere.quad import GridRings, SphereGrid
     from fuzzsphere.ssh import SshParams
 
     for tj, ts in _spin_pairs(6):
         p = SshParams(tj, ts)
         grid = SphereGrid.auto(tj, tj, p.phi_period)
         rings = grid.rings()
-        for ell in range(tj + 1):
-            samples = _degree_samples(ell, rings)
-            stacked = quantize_samples(p, samples, grid, hermitize=False)
-            for m in range(-ell, ell + 1):
-                f = HarmonicExpansion({(ell, m): 1.0}).evaluate
-                alone = f(rings.theta[:, None], rings.phi[None, :])
-                assert samples[m + ell].tobytes() == alone.tobytes()
-                quad = quantize_quadrature(p, f, grid, hermitize=False)
-                assert stacked[m + ell].tobytes() == quad.entries.tobytes(), (tj, ts, ell, m)
+        samples = _family_samples(tj, rings)
+        stacked = quantize_samples(p, samples, grid, hermitize=False)
+        harmonics = _harmonics(tj)
+        assert len(harmonics) == len(samples) == (tj + 1) ** 2
+        for index, (ell, m) in enumerate(harmonics):
+            assert index == ell * ell + ell + m
+            f = HarmonicExpansion({(ell, m): 1.0}).evaluate
+            alone = f(rings.theta[:, None], rings.phi[None, :])
+            assert samples[index].tobytes() == alone.tobytes(), (tj, ell, m)
+            quad = quantize_quadrature(p, f, grid, hermitize=False)
+            assert stacked[index].tobytes() == quad.entries.tobytes(), (tj, ts, ell, m)
+    # At the poles most harmonics vanish exactly, and a bare product of ring
+    # and wave would leave -0.0 where the expansion's sum gives 0.0.
+    nodes = SphereGrid(3, 9).rings()
+    poles = GridRings(np.array([0.0, 1.0, math.pi]), nodes.phi, nodes.weight)
+    samples = _family_samples(4, poles)
+    for index, (ell, m) in enumerate(_harmonics(4)):
+        f = HarmonicExpansion({(ell, m): 1.0}).evaluate
+        alone = f(poles.theta[:, None], poles.phi[None, :])
+        assert samples[index].tobytes() == alone.tobytes(), (ell, m)
+
+
+def test_closed_vs_quadrature_quantizes_one_stack_per_family(monkeypatch):
+    from fuzzsphere import cli
+
+    stacks = []
+    quantize = cli.quantize_samples
+
+    def counting(p, samples, grid, hermitize=True):
+        stacks.append((p.two_j, p.two_sigma, samples.shape[0]))
+        return quantize(p, samples, grid, hermitize)
+
+    monkeypatch.setattr(cli, "quantize_samples", counting)
+    cli.ALL_CHECKS["closed-vs-quadrature"](4)
+    assert stacks == [(tj, ts, (tj + 1) ** 2) for tj, ts in cli._spin_pairs(4)]
+
+
+def test_fuzzy_comparison_builds_no_closed_form_matrix(monkeypatch):
+    # The quantized entry of each ratio comes from the closed-form band.
+    from fuzzsphere import cli, csquant, fuzzy
+
+    def refuse(*args):
+        raise AssertionError("closed-form matrix built")
+
+    for module in (cli, csquant, fuzzy):
+        monkeypatch.setattr(module, "quantize_ylm_closed", refuse, raising=False)
+    rows = cli.ALL_CHECKS["fuzzy"](4)
+    assert all(residual <= tol for _, residual, tol in rows)
+
+
+@pytest.mark.parametrize("psi", [["--psi", "0.7"], ["--psi=0.7"]])
+def test_quantize_takes_no_psi(capsys, psi):
+    # The family phase exp(i sigma psi) cancels in |x><x|, so it has no
+    # quantize option; ssh-eval keeps --psi, which changes the value.
+    with pytest.raises(SystemExit) as exc:
+        main(["quantize", "--ylm", "2", "1", "--two-j", "4", "--two-sigma", "2", *psi])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fuzzsphere") and "error:" in err
 
 
 def test_stacked_checks_visit_the_last_harmonic(monkeypatch):

@@ -215,15 +215,12 @@ def test_separable_quadrature_matches_brute_force_complex_f():
 
 
 def test_quadrature_bitwise_reproducible():
-    from fuzzsphere import csquant, wigner
+    from fuzzsphere import wigner
 
     p = SshParams(5, 1, psi=0.3)
     f = lambda theta, phi: np.exp(0.5j * phi) * np.sin(theta) + np.cos(theta) ** 2
     first = quantize_quadrature(p, f, hermitize=False)
-    for cached in (
-        SphereGrid.rings, SphereGrid.nodes_and_weights,
-        csquant._ring_basis, wigner._lambda1_eigenbasis,
-    ):
+    for cached in (SphereGrid.rings, wigner._lambda1_eigenbasis):
         cached.cache_clear()
     second = quantize_quadrature(p, f, hermitize=False)
     assert first.entries.tobytes() == second.entries.tobytes()

@@ -116,10 +116,11 @@ def test_grid_built_once_per_distinct_grid(monkeypatch):
         return leggauss(n)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-    SphereGrid.nodes_and_weights.cache_clear()
-    first = SphereGrid(5, 7, FOUR_PI).nodes_and_weights()
+    SphereGrid.rings.cache_clear()
+    first = SphereGrid(5, 7, FOUR_PI).rings()
     for _ in range(3):
-        assert SphereGrid(5, 7, FOUR_PI).nodes_and_weights() is first
+        assert SphereGrid(5, 7, FOUR_PI).rings() is first
+        SphereGrid(5, 7, FOUR_PI).nodes_and_weights()
     assert calls == [5]
     SphereGrid(5, 7).nodes_and_weights()
     assert calls == [5, 5]

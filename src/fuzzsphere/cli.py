@@ -69,22 +69,22 @@ def save_matrix(m: OperatorMatrix, path: Path, fmt: str, two_sigma: int = 0) -> 
     if not np.isfinite(m.entries).all():
         raise ValueError(f"refusing to write a non-finite entry to {path}")
     dim = m.two_j + 1
-    # Row-major entries as Python floats, so formatting skips numpy scalars.
-    pairs = zip(m.entries.real.ravel().tolist(), m.entries.imag.ravel().tolist())
+    # Row-major (re, im) pairs as Python floats, rendered by one %-format of
+    # a whole-file template: '%.17g' % x is format(x, '.17g') (see _fmt).
+    values = tuple(np.stack((m.entries.real, m.entries.imag), axis=-1).ravel().tolist())
     if fmt == "json":
-        rows = [f"[{_fmt(x)}, {_fmt(y)}]" for x, y in pairs]
+        body = ", ".join(["[%.17g, %.17g]"] * (dim * dim)) % values
         text = (
             "{"
             + f'"two_j": {m.two_j}, "two_sigma": {two_sigma}, "rows": {dim}, '
-            + '"entries": [' + ", ".join(rows) + "]}"
+            + '"entries": [' + body + "]}"
         )
         path.write_text(text + "\n")
     elif fmt == "csv":
-        lines = [f"# two_j={m.two_j} two_sigma={two_sigma}", _CSV_HEADER]
-        lines += [
-            f"{k // dim},{k % dim},{_fmt(x)},{_fmt(y)}" for k, (x, y) in enumerate(pairs)
-        ]
-        path.write_text("\n".join(lines) + "\n")
+        row = [f"{c},%.17g,%.17g" for c in range(dim)]
+        cells = "\n".join([f"{r},{cell}" for r in range(dim) for cell in row])
+        header = f"# two_j={m.two_j} two_sigma={two_sigma}\n{_CSV_HEADER}\n"
+        path.write_text(header + cells % values + "\n")
     else:
         raise ValueError(f"unknown output format {fmt!r}")
 
@@ -299,7 +299,7 @@ _CHECK_NAMES = {
     "threej": (("threej_orthogonality_exact", range(0, 5)),
                ("threej_symmetry_exact", range(0, 5))),
     # The oracle wigner_D_sum loses precision to cancellation.  Over this
-    # check's own points it is off from ssh_eval by 1.9e-13 at 2j=24,
+    # check's own points it is off from ssh_rings by 1.9e-13 at 2j=24,
     # 4.8e-13 at 26, 1.4e-12 at 30 and 3.2e-12 at 32 (tolerance 1e-12).
     "ssh": (("ssh_sum_rule", None), ("ssh_two_closed_forms", 24),
             ("ssh_orthonormality", None)),

@@ -188,25 +188,26 @@ def quantize_ylm_closed(params: SshParams, ell: int, m: int) -> OperatorMatrix:
     if ell > tj:
         return OperatorMatrix.zeros(tj)
     band = _closed_band(params, ell, m)
-    entries = np.zeros((dim, dim), dtype=complex)
+    flat = np.zeros(dim * dim, dtype=complex)
     # Row r holds mu = -j + r, so nu = mu - m sits in column r - m: flat
     # index r (dim + 1) - m, one stride of dim + 1 along the band.
-    start = max(0, m) * (dim + 1) - m
-    entries.reshape(-1)[start : start + len(band) * (dim + 1) : dim + 1] = band
-    return OperatorMatrix(tj, entries)
+    start = m * dim if m >= 0 else -m
+    flat[start : start + len(band) * (dim + 1) : dim + 1] = band
+    return OperatorMatrix(tj, flat.reshape(dim, dim))
 
 
 def _closed_band(params: SshParams, ell: int, m: int) -> np.ndarray:
     """Band m of the closed form of Y_lm, for |m| <= ell <= 2j, as the real
     array ``np.diagonal(entries, -m)`` reads from the matrix: entry k sits
     at row k + max(m, 0), column k + max(-m, 0)."""
-    tj, ts = params.two_j, params.two_sigma
+    tj = params.two_j
     table = _three_j_band(tj, ell)
     # Column r holds mu = sigma; its (-1)^r is undone, and a zero reads +0.0.
-    r = (tj + ts) // 2
-    spin_factor = parity_sign(r) * float(table[ell, r])
-    scale = (tj + 1) * math.sqrt((2 * ell + 1) / FOUR_PI) * spin_factor
-    return parity_sign(r) * scale * table[ell + m, max(0, m) : min(tj + 1, tj + 1 + m)]
+    r = (tj + params.two_sigma) // 2
+    sign = parity_sign(r)
+    scale = (tj + 1) * math.sqrt((2 * ell + 1) / FOUR_PI) * (sign * table.item(ell, r))
+    row = table[ell + m]
+    return sign * scale * (row[m:] if m >= 0 else row[: tj + 1 + m])
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@
 The harmonics are entries of the SU(2) representation matrices (see
 :func:`ssh_eval`), so they share the one eigenbasis kernel of
 :mod:`fuzzsphere.wigner`, its exact north pole and its working range
-``D_MATRIX_MAX_TWO_J``.  Every mu at a point is one D column (:func:`ssh_column`),
-and every mu on an array of polar angles at phi = 0 is one batched product
-(:func:`ssh_rings`), the ring samples of quadrature quantization.
+``D_MATRIX_MAX_TWO_J``.  One harmonic at a point is one O(2j) contraction
+of two eigenbasis rows (:func:`ssh_eval`); every mu at a point is one D
+column (:func:`ssh_column`), and every mu on an array of polar angles at
+phi = 0 is one batched product (:func:`ssh_rings`), the ring samples of
+quadrature quantization.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quad import SpherePoint
-from .wigner import Su2Element, su2_from_rotation, wigner_D_columns, wigner_D_matrix
+from .wigner import (
+    Su2Element,
+    _d_entry,
+    su2_from_rotation,
+    wigner_D_columns,
+    wigner_D_matrix,
+)
 
 __all__ = [
     "SshParams",
@@ -168,20 +176,22 @@ def _prefactor(params: SshParams) -> complex:
 
 
 def ssh_eval(params: SshParams, two_mu: int, x: SpherePoint) -> complex:
-    """Value of the spin-sigma harmonic with projection mu at x: entry mu of
-    :func:`ssh_column`.
+    """Value of the spin-sigma harmonic with projection mu at x.
 
     Y_mu^sigma(theta, phi) = i^(2 sigma) e^(i sigma psi) e^(i mu phi)
     sqrt((2j+1)/(4 pi)) D^j_{mu sigma}(theta/2, 0, pi/2), one entry of the
-    representation matrix (:func:`fuzzsphere.wigner.wigner_D`): exact at
-    the north pole, and for 2j <= D_MATRIX_MAX_TWO_J only.
+    representation matrix (:func:`fuzzsphere.wigner.wigner_D`), taken as
+    one O(2j) contraction of two eigenbasis rows: exact at the north pole,
+    and for 2j <= D_MATRIX_MAX_TWO_J only.  It agrees with entry mu of
+    :func:`ssh_column` to rounding.
     """
     tj = params.two_j
     if (two_mu - tj) % 2:
         raise ValueError(f"2mu={two_mu} parity differs from 2j={tj}")
     if abs(two_mu) > tj:
         raise ValueError(f"|2mu|={abs(two_mu)} exceeds 2j={tj}")
-    return complex(ssh_column(params, x)[(two_mu + tj) // 2])
+    d = _d_entry(tj, two_mu, params.two_sigma, x.theta / 2, 0.0, math.pi / 2)
+    return _prefactor(params) * d * cmath.exp(0.5j * x.phi * two_mu)
 
 
 def ssh_rings(params: SshParams, thetas) -> np.ndarray:

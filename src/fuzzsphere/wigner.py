@@ -15,9 +15,10 @@ integer over a common denominator and splits the square root through the
 parity bitmasks of the factorials' prime exponents
 (:func:`fuzzsphere.algebra.factorial_sqrt`), in the manner of Johansson and
 Forssen, SIAM J. Sci. Comput. 38 (2016) A376.  It returns (num, den, free)
-with the symbol equal to (num/den) sqrt(free); the exact route and the float
-tables below are two finishers of it, and the fuzzy-sphere constant
-:func:`fuzzsphere.fuzzy.c_of_ell_closed` folds its parts into one radical.
+with the symbol equal to (num/den) sqrt(free); the exact route finishes it,
+and the fuzzy-sphere constant :func:`fuzzsphere.fuzzy.c_of_ell_closed` folds
+its parts into one radical.  The float tables below share its square-root
+splitting but not its series.
 
 Exact lookups take twice-valued plain ints (:func:`three_j_twice`; the keyed
 :func:`three_j` delegates to it) and memoize each symbol under its six ints
@@ -33,11 +34,12 @@ two columns and under m-negation, so one memoized float table per (2j, l)
 precomputed 3j tables (Rasch and Yu, SIAM J. Sci. Comput. 25 (2003) 1416),
 and filled through those symmetries.  Along each row the symbols follow the
 three-term recurrence in mu of the J^2 eigenvalue equation (Schulten and
-Gordon, J. Math. Phys. 16 (1975) 1961), run here in exact integers from one
-kernel seed per row, with square roots of factorials memoized per 2j.  Its
-symbols go straight to :func:`fuzzsphere.algebra.radical_to_float`, outside
-the exact cache, and each entry is bit for bit the float of its own exact
-symbol.  :func:`three_j_cache_clear` empties the tables and that memo too.
+Gordon, J. Math. Phys. 16 (1975) 1961), run here in exact integers from the
+stretched closed form at the start of each row, with square roots of
+factorials memoized per 2j.  Its symbols go straight to
+:func:`fuzzsphere.algebra.radical_to_float`, outside the exact cache, and
+each entry is bit for bit the float of its own exact symbol.
+:func:`three_j_cache_clear` empties the tables and that memo too.
 """
 
 from __future__ import annotations
@@ -320,14 +322,19 @@ def _three_j_band(two_j: int, ell: int) -> np.ndarray:
             + r(r-m) T(r-1) = 0,
 
     so each step is one exact integer division.  At r = m (m2 = -j) the
-    Racah sum has one term, T(m) = (2j-m)! (2j)! / ((l-m)! l!), and K comes
-    from one :func:`_three_j_parts` seed; sqrt(P(r)) comes from the
-    memoized roots of k! (2j-k)! (:func:`_factorial_pair_roots`).  Each entry is the float
-    of its own exact symbol, bit for bit: the float finisher rounds the
-    value of num/den, whatever its representation, and negating an exact
-    radical negates its float.  A vanishing symbol reads +0.0 before the
-    (-1)^r is folded in, as ``three_j_twice(...).to_float()`` gives it.
-    No entry enters the exact cache.
+    Racah sum has one term, T(m) = (2j-m)! (2j)! / ((l-m)! l!), and the
+    stretched symbol gives the closed form
+
+        K = (-1)^m l! sqrt((l+m)! (l-m)!) / sqrt((2j+l+1)! (2j-l)!),
+
+    one :func:`fuzzsphere.algebra.factorial_sqrt` of four factorials;
+    sqrt(P(r)) comes from the memoized roots of k! (2j-k)!
+    (:func:`_factorial_pair_roots`).  Each entry is the float of its own
+    exact symbol, bit for bit: the float finisher rounds the value of
+    num/den, whatever its representation, and negating an exact radical
+    negates its float.  A vanishing symbol reads +0.0 before the (-1)^r is
+    folded in, as ``three_j_twice(...).to_float()`` gives it.  No entry
+    enters the exact cache.
     """
     dim = two_j + 1
     table = np.zeros((2 * ell + 1, dim))
@@ -337,25 +344,29 @@ def _three_j_band(two_j: int, ell: int) -> np.ndarray:
     casimir = two_j * (two_j + 2) - 2 * ell * (ell + 1)  # twice [2j(j+1) - l(l+1)]
     for m in range(ell + 1):
         row = table[ell + m]
-        num, den, free = _three_j_parts(((two_j, two_j - 2 * m), (two_j, -two_j), (2 * ell, 2 * m)))
         t_prev, t = 0, fact(two_j - m) * fact(two_j) // (fact(ell - m) * fact(ell))
-        # K = f(m) sqrt(P(m)) / T(m) = (kn / kd) sqrt(kappa)
-        g, kappa = _root_of_product(free, phi[m], phi[0])
-        kn, kd = num * alpha[m] * alpha[0] * g, den * t * phi[m] * phi[0]
+        # K = (kn / kd) sqrt(kappa), the stretched closed form above
+        a, b, kappa = factorial_sqrt((ell + m, ell - m, two_j - ell), two_j + ell + 1)
+        kn, kd = parity_sign(m) * fact(ell) * a, b * fact(two_j - ell)
         g = math.gcd(kn, kd)
         kn, kd = kn // g, kd // g
         last = (m + two_j) // 2
+        values = []
         for r in range(m, last + 1):
             if t:
                 g, f = _root_of_product(kappa, phi[r], phi[r - m])
-                value = radical_to_float(kn * t * g, kd * alpha[r] * alpha[r - m], f)
-                row[m + two_j - r] = sign * value
-                row[r] = value
+                values.append(radical_to_float(kn * t * g, kd * alpha[r] * alpha[r - m], f))
+            else:
+                values.append(0.0)
             if r == last:
                 break
             tm1 = two_j - 2 * r
             c = (casimir - tm1 * (tm1 + 2 * m)) // 2
             t_prev, t = t, -(c * t + r * (r - m) * t_prev) // ((two_j - r) * (two_j - r + m))
+        values = np.array(values)
+        # the swapped half first: at r = (m + 2j)/2 the two halves meet
+        row[m + two_j - last :] = sign * values[::-1]
+        row[m : last + 1] = values
         if m:
             table[ell - m] = sign * row[::-1]
     table += 0.0  # -0.0 -> +0.0
@@ -404,17 +415,34 @@ def _index(two_j: int, two_m: int) -> int:
 
 
 def wigner_D(two_j: int, two_m1: int, two_m2: int, xi: Su2Element) -> complex:
-    """Representation matrix element D^j_{m1 m2}(xi): entry m1 of the
-    one-element :func:`wigner_D_columns`.
+    """Representation matrix element D^j_{m1 m2}(xi).
 
     D(xi) = diag(e^{-i m (psi1 + psi2)}) exp(-2 i omega Lambda_1)
     diag(e^{-i m (psi1 - psi2)}), the middle factor in the memoized real
     eigenbasis of Lambda_1 (Feng, Wang, Yang and Jin, Phys. Rev. E 92 (2015)
-    043307) and exactly the identity at omega = 0.  2j above
-    D_MATRIX_MAX_TWO_J raises ValueError, as do the columns and the matrix.
+    043307) and exactly the identity at omega = 0.  One entry is one O(2j)
+    contraction of two eigenbasis rows (:func:`_d_entry`); the columns and
+    the matrix take the batched product.  2j above D_MATRIX_MAX_TWO_J raises
+    ValueError, as do the columns and the matrix.
     """
-    r = _index(two_j, two_m1)
-    return complex(wigner_D_columns(two_j, two_m2, (xi.omega,), xi.psi1, xi.psi2)[0, r])
+    _index(two_j, two_m1)
+    _index(two_j, two_m2)
+    return _d_entry(two_j, two_m1, two_m2, xi.omega, xi.psi1, xi.psi2)
+
+
+def _d_entry(
+    two_j: int, two_m1: int, two_m2: int, omega: float, psi1: float, psi2: float
+) -> complex:
+    """D^j_{m1 m2}(omega, psi1, psi2) for projections already checked: row
+    m1 times row m2 of the eigenbasis against the phases
+    e^{-i omega 2m}, exactly the identity entry at omega = 0."""
+    o, twice_m = _lambda1_eigenbasis(two_j)
+    if omega == 0.0:
+        middle = complex(two_m1 == two_m2)
+    else:
+        weights = o[(two_j + two_m1) // 2] * o[(two_j + two_m2) // 2]
+        middle = complex(weights @ np.exp(-1j * omega * twice_m))
+    return middle * cmath.exp(-0.5j * ((psi1 + psi2) * two_m1 + two_m2 * (psi1 - psi2)))
 
 
 def wigner_D_columns(

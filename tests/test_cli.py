@@ -215,7 +215,15 @@ def test_save_matrix_bytes_match_per_entry_rendering(tmp_path):
     arr[0, 1] = complex(-0.0, -0.0)
     arr[2, 3] = complex(0.0, -0.0)
     arr[4, 4] = complex(-1e-300, 1e300)
-    matrices = [OperatorMatrix(4, arr), quantize_ylm_closed(SshParams(6, 2), 3, -1)]
+    dense = rng.normal(size=(41, 41)) + 1j * rng.normal(size=(41, 41))
+    dense[::5, ::3] *= 10.0 ** rng.integers(-300, 300, size=(9, 14))
+    matrices = [
+        OperatorMatrix(4, arr),
+        quantize_ylm_closed(SshParams(6, 2), 3, -1),
+        # the benchmark's scale: a closed form and a dense matrix at 2j = 40
+        quantize_ylm_closed(SshParams(40, -6), 17, 5),
+        OperatorMatrix(40, dense),
+    ]
     assert any(str(x) == "-0.0" for x in matrices[1].entries.real.ravel().tolist())
     for m in matrices:
         for fmt in ("json", "csv"):
@@ -558,7 +566,7 @@ def test_capped_residuals_report_their_cap():
 
 
 def test_ssh_oracle_comparison_stops_at_its_range():
-    # At 2j=30 the explicit-sum oracle is off from ssh_eval by 1.6e-12 on
+    # At 2j=30 the explicit-sum oracle is off from ssh_rings by 1.6e-12 on
     # these points, past the 1e-12 tolerance; the sum rule still holds.
     from fuzzsphere.cli import _ssh_pointwise
     from fuzzsphere.ssh import SshParams

@@ -195,6 +195,22 @@ def test_ssh_column_matches_entries():
             col = ssh_column(p, x)
             want = [ssh_eval(p, tmu, x) for tmu in p.projections()]
             assert np.abs(col - want).max() < 1e-14
+    # Large spins, sampled entries: an entry contracts two eigenbasis rows,
+    # the column takes the batched product, with the same phases.
+    rng = np.random.default_rng(26)
+    for tj in (100, 400, 1000):
+        for ts in (tj % 2, tj - 2, -tj):
+            p = SshParams(tj, ts, psi=0.8)
+            theta = float(rng.uniform(0.0, math.pi))
+            x = SpherePoint(theta, float(rng.uniform(0.0, p.phi_period)))
+            sampled = [-tj, ts, tj] + [int(t) for t in rng.choice(list(p.projections()), 8)]
+            for y in (SpherePoint(0.0, 0.4), SpherePoint(math.pi, 1.0), x):
+                col = ssh_column(p, y)
+                for tmu in sampled:
+                    got = ssh_eval(p, tmu, y)
+                    assert abs(got - col[(tmu + tj) // 2]) < 1e-14, (tj, ts, tmu, y)
+                    if y.theta == 0.0 and tmu != ts:
+                        assert got == 0
 
 
 def test_ssh_rings_match_column_and_entries():

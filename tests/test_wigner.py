@@ -398,21 +398,32 @@ def test_three_j_band_table_is_read_only_and_cleared_with_the_cache():
 
 
 def test_three_j_band_cold_fill_seeds_each_row_once(monkeypatch):
+    # Each row m >= 0 is seeded by the stretched closed form, one
+    # factorial_sqrt of four factorials, and never by the Racah kernel.
     from fuzzsphere import wigner as _w
 
-    calls = []
-    kernel = _w._three_j_parts
+    seeds, kernel_calls = [], []
+    roots, kernel = _w.factorial_sqrt, _w._three_j_parts
 
-    def counted(cols):
-        calls.append(cols)
+    def counted_roots(top, bottom):
+        seeds.append((tuple(top), bottom))
+        return roots(top, bottom)
+
+    def counted_kernel(cols):
+        kernel_calls.append(cols)
         return kernel(cols)
 
-    monkeypatch.setattr(_w, "_three_j_parts", counted)
+    monkeypatch.setattr(_w, "factorial_sqrt", counted_roots)
+    monkeypatch.setattr(_w, "_three_j_parts", counted_kernel)
     for tj, ell in ((6, 2), (24, 13), (40, 40)):
         _w.three_j_cache_clear()
-        calls.clear()
+        _w._factorial_pair_roots(tj)
+        seeds.clear()
         _w._three_j_band(tj, ell)
-        assert len(calls) == ell + 1, (tj, ell)
+        assert seeds == [
+            ((ell + m, ell - m, tj - ell), tj + ell + 1) for m in range(ell + 1)
+        ], (tj, ell)
+    assert kernel_calls == []
     _w.three_j_cache_clear()
 
 
@@ -708,6 +719,27 @@ def test_wigner_d_entry_column_and_matrix_agree():
             assert np.abs(column - d[:, c]).max() < 1e-14
             for r, tm1 in enumerate(range(-tj, tj + 1, 2)):
                 assert abs(wigner_D(tj, tm1, tm2, xi) - d[r, c]) < 1e-14
+    # Large spins, sampled entries.  The entry and the column share one psi
+    # phase per entry; the matrix splits it in two whose arguments reach
+    # 4 pi j, so it is compared only to their rounding (2.4e-14 measured at
+    # 2j = 1000).
+    for tj in (100, 400, 1000):
+        xi = Su2Element(*rng.uniform(0, 2 * math.pi, 3))
+        d = wigner_D_matrix(tj, xi)
+        sampled = sorted({0, tj, *rng.integers(0, tj + 1, 6).tolist()})
+        for c in sampled:
+            tm2 = 2 * c - tj
+            column = wigner_D_columns(tj, tm2, (xi.omega,), xi.psi1, xi.psi2)[0]
+            for r in sampled:
+                entry = wigner_D(tj, 2 * r - tj, tm2, xi)
+                assert abs(entry - column[r]) < 1e-14, (tj, r, c)
+                assert abs(entry - d[r, c]) < 1e-12, (tj, r, c)
+                # omega = 0: exact zeros off the diagonal, a pure phase on it
+                pole = wigner_D(tj, 2 * r - tj, tm2, Su2Element(0.0, xi.psi1, xi.psi2))
+                if r == c:
+                    assert abs(abs(pole) - 1.0) < 1e-15
+                else:
+                    assert pole == 0
 
 
 def test_wigner_d_exact_at_omega_zero():
